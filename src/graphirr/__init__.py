@@ -18,7 +18,7 @@ from .enumeration import (
     enumerate_trees,
     enumerate_unicyclic,
 )
-from .errors import CapabilityError, ConvergenceError, InputError
+from .errors import CapabilityError, InputError
 from .families import (
     complete,
     complete_multipartite,
@@ -52,7 +52,6 @@ from .io import (
 from .measures import (
     BoundRecord,
     MeasureSet,
-    bidegreed_identities,
     bound_report,
     centered_sequence_bound,
     cyclic_formulas,
@@ -64,8 +63,8 @@ from .measures import (
 from .spectral import (
     TwoWalkParams,
     main_eigenvalues,
-    spectral_radius_estimate,
     two_walk_params,
+    two_walk_radius_test,
     variance_spectral_identity,
 )
 from .verify import (

@@ -34,9 +34,9 @@ from .families import (
     star,
     wheel,
 )
-from .graph import Graph, classify, degree_stats
+from .graph import Graph
 from .io import format_edge_list, parse_graph, parse_graph6, to_graph6
-from .measures import bound_report, measure_set
+from .measures import bound_report, context
 from .serialize import (
     bound_record_json,
     fraction_decimal,
@@ -100,15 +100,14 @@ def _read_input(arg: str) -> Graph:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     g = _read_input(args.input)
-    st = degree_stats(g)
-    cls = classify(g, st)
-    ms = measure_set(g, st)
-    bounds = bound_report(g)
+    ctx = context(g)
+    st, cls, ms = ctx.stats, ctx.cls, ctx.ms
+    bounds = bound_report(g, ctx)
     spectral = None
     if cls.is_connected and not cls.is_regular and g.n >= 2:
-        params = two_walk_params(g)
+        params = two_walk_params(g, ctx)
         if params is not None:
-            ident = variance_spectral_identity(g)
+            ident = variance_spectral_identity(g, ctx)
             spectral = (params, ident)
 
     if args.json:

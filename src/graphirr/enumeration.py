@@ -19,7 +19,7 @@ from typing import Optional
 
 from .canon import canonical_rows
 from .errors import CapabilityError, InputError
-from .graph import Graph
+from .graph import Graph, rows_connected
 from .io import parse_graph6, to_graph6
 
 MAX_N_ALL = 8
@@ -90,21 +90,6 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _rows_connected(rows: list[int], n: int) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = 0
-        mask = frontier
-        while mask:
-            low = mask & -mask
-            reach |= rows[low.bit_length() - 1]
-            mask ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def _code_for_rows(rows: tuple[int, ...], n: int) -> str:
     return to_graph6(Graph(n, canonical_rows(rows, n)))
 
@@ -125,7 +110,7 @@ def _scan_chunk(args: tuple) -> set[str]:
                 u, v = pairs[e]
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            if connected and not _rows_connected(rows, n):
+            if connected and not rows_connected(rows):
                 continue
             if irregular and len({r.bit_count() for r in rows}) <= 1:
                 continue
@@ -142,7 +127,7 @@ def _scan_chunk(args: tuple) -> set[str]:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
             rest ^= low
-        if connected and not _rows_connected(rows, n):
+        if connected and not rows_connected(rows):
             continue
         if irregular and len({r.bit_count() for r in rows}) <= 1:
             continue

@@ -8,6 +8,3 @@ class InputError(ValueError):
 class CapabilityError(RuntimeError):
     """Request exceeds a hard size cap of the implementation."""
 
-
-class ConvergenceError(RuntimeError):
-    """Iterative numeric routine failed to converge within its budget."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -77,13 +77,17 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0."""
-    if g.n <= 1:
+def rows_connected(rows: Sequence[int]) -> bool:
+    """True iff every vertex of the adjacency bitmasks ``rows`` is reachable from 0.
+
+    Takes bare rows so the labelled enumeration scan can test each candidate
+    without building a :class:`Graph`.
+    """
+    n = len(rows)
+    if n <= 1:
         return True
     seen = 1
     frontier = 1
-    rows = g.rows
     while frontier:
         reach = 0
         mask = frontier
@@ -93,7 +97,12 @@ def is_connected(g: Graph) -> bool:
             mask ^= low
         frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen == (1 << n) - 1
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff every vertex is reachable from vertex 0."""
+    return rows_connected(g.rows)
 
 
 def cyclomatic_number(g: Graph) -> int:

@@ -20,8 +20,6 @@ from typing import Callable, Optional, Sequence
 from .errors import InputError
 from .graph import Classification, DegreeStats, Graph, classify, degree_stats
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class MeasureSet:
@@ -35,7 +33,7 @@ class MeasureSet:
 
 @dataclass(frozen=True)
 class GraphContext:
-    """Shared per-graph data so the bound suite computes everything once."""
+    """Shared per-graph data, built once per graph and read by every suite."""
 
     g: Graph
     stats: DegreeStats
@@ -97,29 +95,6 @@ def measure_set(g: Graph, stats: Optional[DegreeStats] = None) -> MeasureSet:
 def context(g: Graph) -> GraphContext:
     st = degree_stats(g)
     return GraphContext(g=g, stats=st, cls=classify(g, st), ms=measure_set(g, st))
-
-
-@dataclass(frozen=True)
-class BidegreedIdentities:
-    """Exact relations available when the degree set has exactly two values."""
-
-    s_equals_ird: bool
-    var_closed: Fraction
-    scaled_var_equals_gap_s: bool  # 2n*Var == (Dmax-Dmin)*S
-
-
-def bidegreed_identities(g: Graph) -> BidegreedIdentities:
-    ctx = context(g)
-    if not ctx.cls.is_connected or not ctx.cls.is_bidegreed:
-        raise InputError("bidegreed identities need a connected bidegreed graph")
-    var_closed = Fraction(ctx.n_max * ctx.n_min * ctx.gap * ctx.gap, ctx.n * ctx.n)
-    if var_closed != ctx.ms.var:
-        raise AssertionError("closed-form variance disagrees with definition")
-    return BidegreedIdentities(
-        s_equals_ird=ctx.ms.s == ctx.ms.ird,
-        var_closed=var_closed,
-        scaled_var_equals_gap_s=2 * ctx.n * ctx.ms.var == ctx.gap * ctx.ms.s,
-    )
 
 
 @dataclass(frozen=True)
@@ -404,9 +379,9 @@ def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
     )
 
 
-def bound_report(g: Graph) -> list[BoundRecord]:
+def bound_report(g: Graph, ctx: Optional[GraphContext] = None) -> list[BoundRecord]:
     """Evaluate the full inequality suite on one graph."""
-    ctx = context(g)
+    ctx = ctx if ctx is not None else context(g)
     return [_evaluate(d, ctx) for d in _BOUNDS]
 
 
@@ -428,8 +403,8 @@ def _branch_weight(hist: dict[int, int]) -> int:
     return sum((d - 2) * c for d, c in hist.items() if d >= 3)
 
 
-def tree_formulas(t: Graph) -> TreeFormulas:
-    ctx = context(t)
+def tree_formulas(t: Graph, ctx: Optional[GraphContext] = None) -> TreeFormulas:
+    ctx = ctx if ctx is not None else context(t)
     if not ctx.cls.is_tree or ctx.n < 2:
         raise InputError("tree formulas need a tree on at least two vertices")
     n = ctx.n
@@ -468,11 +443,10 @@ class CyclicFormulas:
     s_closed: Fraction
     var_closed: Fraction
     unicyclic_s: Optional[Fraction]  # 2*N1, present only when m == n
-    omega_floor: Optional[Fraction]  # best applicable lower bound on Var/S
 
 
-def cyclic_formulas(g: Graph) -> CyclicFormulas:
-    ctx = context(g)
+def cyclic_formulas(g: Graph, ctx: Optional[GraphContext] = None) -> CyclicFormulas:
+    ctx = ctx if ctx is not None else context(g)
     if not _cyclic_range(ctx):
         raise InputError(
             "closed forms need a connected graph with 1 <= cycle rank <= (n+2)/2"
@@ -486,15 +460,8 @@ def cyclic_formulas(g: Graph) -> CyclicFormulas:
         sum((d - 1) * (d - 2) * c for d, c in hist.items() if d >= 3), n
     ) - Fraction(2 * (2 * m - n) * (m - n), n * n)
     unicyclic_s = Fraction(2 * hist.get(1, 0)) if m == n else None
-    if ctx.cls.is_regular:
-        floor = None
-    elif ctx.cls.is_unicyclic:
-        floor = Fraction(1, n)
-    else:
-        floor = Fraction(1, n) - Fraction(2) / ctx.ms.s
     return CyclicFormulas(
         s_closed=s_closed,
         var_closed=var_closed,
         unicyclic_s=unicyclic_s,
-        omega_floor=floor,
     )

@@ -1,4 +1,4 @@
-"""Rendering helpers: rationals as text/JSON, reports as JSON/CSV."""
+"""Rendering helpers: rationals as text/JSON, reports as JSON."""
 
 from __future__ import annotations
 
@@ -28,12 +28,6 @@ def measure_set_json(ms: MeasureSet) -> dict[str, Any]:
     }
     out["omega"] = None if ms.omega is None else fraction_json(ms.omega)
     return out
-
-
-def measure_set_csv(ms: MeasureSet) -> str:
-    cells = [fraction_decimal(getattr(ms, key)) for key in ("m1", "s", "var", "ird", "irr")]
-    cells.append("" if ms.omega is None else fraction_decimal(ms.omega))
-    return ",".join(cells)
 
 
 def bound_record_json(rec: BoundRecord) -> dict[str, Any]:

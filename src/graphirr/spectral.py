@@ -1,11 +1,20 @@
-"""Two-walk linearity detection and the associated variance identity.
+"""Two-walk linearity detection, the variance identity and the exact radius test.
 
 A connected irregular graph is 2-walk (a, b)-linear when the neighbour
 degree sum satisfies S(u) = a*d(u) + b at every vertex for a single integer
-pair (a, b).  Such graphs have exactly two main eigenvalues
-lambda, mu = (a +- sqrt(a^2+4b))/2, and the degree variance factors as
-(lambda - 2m/n)(2m/n - mu) -- which expands to the all-rational form
-a*(2m/n) + b - (2m/n)^2 used here so the check stays exact.
+pair (a, b).  With A the adjacency matrix and d the degree vector that reads
+A*1 = d and A*d = a*d + b*1, so A keeps span{1, d} invariant and acts there
+with the two main eigenvalues lambda, mu = (a +- sqrt(D))/2, D = a^2 + 4b.
+
+* The degree variance factors as (lambda - 2m/n)(2m/n - mu), which expands
+  to the all-rational form a*(2m/n) + b - (2m/n)^2 used here.
+* d - mu*1 is an eigenvector for lambda.  By Perron-Frobenius the adjacency
+  matrix of a connected graph has exactly one eigenvalue with a positive
+  eigenvector, its spectral radius, and every eigenvector of the radius has
+  entries of one strict sign.  Since mu <= lambda <= Dmax, the entries
+  d_v - mu cannot all be negative, so lambda is the spectral radius iff
+  Dmin > mu.  With t = a - 2*Dmin that is ``t < 0 or D > t^2``: a test on
+  integers that decides the radius without computing it.
 """
 
 from __future__ import annotations
@@ -16,11 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .errors import ConvergenceError, InputError
-from .graph import Graph, degree_stats, is_connected
-from .measures import measure_set
+from .errors import InputError
+from .graph import Graph
+from .measures import GraphContext, context
 
 logger = logging.getLogger(__name__)
 
@@ -37,10 +44,13 @@ class TwoWalkParams:
             raise InputError("two-walk parameters must have a^2 + 4b >= 0")
 
 
-def two_walk_params(g: Graph) -> Optional[TwoWalkParams]:
+def two_walk_params(
+    g: Graph, ctx: Optional[GraphContext] = None
+) -> Optional[TwoWalkParams]:
     """Fit S(u) = a*d(u) + b over all vertices; None when no single fit exists."""
-    st = degree_stats(g)
-    if not is_connected(g):
+    ctx = ctx if ctx is not None else context(g)
+    st = ctx.stats
+    if not ctx.cls.is_connected:
         raise InputError("two-walk detection needs a connected graph")
     if st.max_degree == st.min_degree:
         raise InputError("two-walk parameters are not unique for regular graphs")
@@ -63,12 +73,24 @@ def two_walk_params(g: Graph) -> Optional[TwoWalkParams]:
 
 
 def main_eigenvalues(p: TwoWalkParams) -> tuple[float, float]:
-    """The two main eigenvalues (larger first)."""
+    """The two main eigenvalues (larger first), for display only."""
     disc = p.a * p.a + 4 * p.b
     if disc < 0:
         raise InputError("negative discriminant")
     root = math.sqrt(disc)
     return (p.a + root) / 2, (p.a - root) / 2
+
+
+def two_walk_radius_test(p: TwoWalkParams, min_degree: int) -> tuple[bool, int, int]:
+    """Decide exactly whether lambda = (a + sqrt(D))/2 is the spectral radius.
+
+    Returns ``(holds, D, t*t)`` with D = a^2 + 4b and t = a - 2*min_degree;
+    ``holds`` is ``t < 0 or D > t*t`` (see the module docstring), and when it
+    fails the two integers returned are the ones that were compared.
+    """
+    disc = p.a * p.a + 4 * p.b
+    t = p.a - 2 * min_degree
+    return t < 0 or disc > t * t, disc, t * t
 
 
 @dataclass(frozen=True)
@@ -77,48 +99,18 @@ class VarianceIdentity:
     matches: bool
 
 
-def variance_spectral_identity(g: Graph) -> VarianceIdentity:
+def variance_spectral_identity(
+    g: Graph, ctx: Optional[GraphContext] = None
+) -> VarianceIdentity:
     """Check Var == (lambda - 2m/n)(2m/n - mu) exactly.
 
     With lambda+mu = a and lambda*mu = -b the product equals
     a*(2m/n) + b - (2m/n)^2, so no irrational arithmetic is needed.
     """
-    p = two_walk_params(g)
+    ctx = ctx if ctx is not None else context(g)
+    p = two_walk_params(g, ctx)
     if p is None:
         raise InputError("graph is not 2-walk linear")
-    st = degree_stats(g)
-    c = st.average_degree
+    c = ctx.avg
     value = c * p.a + p.b - c * c
-    return VarianceIdentity(
-        var_via_params=value, matches=value == measure_set(g, st).var
-    )
-
-
-def spectral_radius_estimate(
-    g: Graph, tol: float = 1e-9, max_iter: int = 100_000
-) -> float:
-    """Dominant adjacency eigenvalue by power iteration.
-
-    Iterates on A + I so bipartite graphs converge too; the shift is removed
-    from the returned value.  Raises when the residual does not drop below
-    ``tol`` within ``max_iter`` rounds.
-    """
-    if not is_connected(g):
-        raise InputError("spectral radius estimation needs a connected graph")
-    n = g.n
-    a = np.zeros((n, n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
-    shifted = a + np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    z = shifted @ x
-    for _ in range(max_iter):
-        theta = float(x @ z)
-        residual = float(np.linalg.norm(z - theta * x))
-        if residual <= tol * max(1.0, abs(theta)):
-            return theta - 1.0
-        x = z / float(np.linalg.norm(z))
-        z = shifted @ x
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
+    return VarianceIdentity(var_via_params=value, matches=value == ctx.ms.var)

@@ -32,6 +32,7 @@ from .measures import (
     CONDITION_MISMATCH,
     NOT_APPLICABLE,
     GraphContext,
+    _cyclic_range,
     bound_report,
     context,
     cyclic_formulas,
@@ -40,13 +41,10 @@ from .measures import (
 )
 from .serialize import fraction_text
 from .spectral import (
-    main_eigenvalues,
-    spectral_radius_estimate,
     two_walk_params,
+    two_walk_radius_test,
     variance_spectral_identity,
 )
-
-SPECTRAL_RADIUS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ class VerificationReport:
     violations: tuple[Violation, ...]
     findings: tuple[Finding, ...]
     equalities: tuple[EqualityCase, ...]
-    elapsed: float
+    elapsed: float  # seconds in suite evaluation; enumeration and contexts excluded
 
     @property
     def passed(self) -> bool:
@@ -115,41 +113,40 @@ class _Outcome:
 
 
 Population = Union[EnumerationSpec, Sequence[EnumerationSpec], Sequence[Graph]]
+#: (canonical code, context) per graph, sorted by code.
+Pairs = list[tuple[str, GraphContext]]
 
 
 def _materialise(
     population: Population, workers: int, cache_dir: Optional[str]
-) -> tuple[list[tuple[str, Graph]], str]:
+) -> tuple[Pairs, str]:
+    """The population's graphs, each with the one context every suite reads."""
     if isinstance(population, EnumerationSpec):
         population = [population]
     population = list(population)
     if population and isinstance(population[0], EnumerationSpec):
         for spec in population:
             spec.validate()  # reject out-of-cap requests before any work
-        pairs: list[tuple[str, Graph]] = []
+        pairs: Pairs = []
         descs = []
         for spec in population:
             codes = enumerate_codes_cached(spec, workers=workers, cache_dir=cache_dir)
-            pairs.extend((c, parse_graph6(c)) for c in codes)
+            pairs.extend((c, context(parse_graph6(c))) for c in codes)
             descs.append(spec.describe())
         return pairs, "; ".join(descs)
     graphs = list(population)
-    pairs = sorted(
-        ((canonical_code(g), g) for g in graphs), key=lambda item: item[0]
-    )
-    return pairs, f"explicit list of {len(graphs)} graphs"
+    coded = sorted(((canonical_code(g), g) for g in graphs), key=lambda item: item[0])
+    return [(c, context(g)) for c, g in coded], f"explicit list of {len(graphs)} graphs"
 
 
 # --- individual suites ------------------------------------------------------
 
 
-def _suite_bounds(
-    pairs: list[tuple[str, Graph]], only: Optional[str] = None
-) -> _Outcome:
+def _suite_bounds(pairs: Pairs, only: Optional[str] = None) -> _Outcome:
     out = _Outcome()
-    for code, g in pairs:
+    for code, ctx in pairs:
         out.checked += 1
-        for rec in bound_report(g):
+        for rec in bound_report(ctx.g, ctx):
             if only is not None and rec.bound_id != only:
                 continue
             if rec.agreement == NOT_APPLICABLE:
@@ -185,11 +182,10 @@ def _suite_bounds(
     return out
 
 
-def _suite_bidegreed(pairs: list[tuple[str, Graph]]) -> _Outcome:
+def _suite_bidegreed(pairs: Pairs) -> _Outcome:
     """Exact relations tying S, IRD and Var together on two-degree graphs."""
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         if not (ctx.cls.is_connected and ctx.cls.is_bidegreed):
             continue
         out.checked += 1
@@ -209,11 +205,10 @@ def _suite_bidegreed(pairs: list[tuple[str, Graph]]) -> _Outcome:
     return out
 
 
-def _suite_balanced(pairs: list[tuple[str, Graph]]) -> _Outcome:
+def _suite_balanced(pairs: Pairs) -> _Outcome:
     """Balanced bidegreed graphs: S equals IRR and n^2 Var equals S^2."""
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         if not (ctx.cls.is_connected and ctx.cls.is_balanced_bidegreed):
             continue
         out.checked += 1
@@ -224,11 +219,10 @@ def _suite_balanced(pairs: list[tuple[str, Graph]]) -> _Outcome:
     return out
 
 
-def _suite_degree_counts(pairs: list[tuple[str, Graph]]) -> _Outcome:
+def _suite_degree_counts(pairs: Pairs) -> _Outcome:
     """Pendant/degree-2 counts from the cycle rank and higher-degree census."""
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         if not ctx.cls.is_connected or ctx.n < 2:
             continue
         out.checked += 1
@@ -255,15 +249,14 @@ def _is_path_graph(ctx: GraphContext) -> bool:
     return ctx.cls.is_tree and ctx.stats.max_degree <= 2
 
 
-def _suite_trees(pairs: list[tuple[str, Graph]]) -> _Outcome:
+def _suite_trees(pairs: Pairs) -> _Outcome:
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         if not ctx.cls.is_tree or ctx.n < 2:
             continue
         out.checked += 1
         ms = ctx.ms
-        tf = tree_formulas(g)
+        tf = tree_formulas(ctx.g, ctx)
         out.expect_eq(code, "tree_s_closed", tf.s_closed, ms.s)
         out.expect_eq(code, "tree_var_closed", tf.var_closed, ms.var)
         out.expect_eq(code, "tree_irr_closed", tf.irr_closed, ms.irr)
@@ -364,16 +357,15 @@ def _suite_trees(pairs: list[tuple[str, Graph]]) -> _Outcome:
     return out
 
 
-def _suite_cyclic(pairs: list[tuple[str, Graph]]) -> _Outcome:
+def _suite_cyclic(pairs: Pairs) -> _Outcome:
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
-        c = ctx.cls.cyclomatic
-        if not ctx.cls.is_connected or c is None or not (1 <= c and 2 * c <= ctx.n + 2):
+    for code, ctx in pairs:
+        if not _cyclic_range(ctx):
             continue
         out.checked += 1
+        c = ctx.cls.cyclomatic or 0
         ms = ctx.ms
-        cf = cyclic_formulas(g)
+        cf = cyclic_formulas(ctx.g, ctx)
         out.expect_eq(code, "cyclic_s_closed", cf.s_closed, ms.s)
         out.expect_eq(code, "cyclic_var_closed", cf.var_closed, ms.var)
         hist = ctx.stats.histogram
@@ -422,11 +414,10 @@ def _suite_cyclic(pairs: list[tuple[str, Graph]]) -> _Outcome:
     return out
 
 
-def _suite_omega(pairs: list[tuple[str, Graph]]) -> _Outcome:
+def _suite_omega(pairs: Pairs) -> _Outcome:
     """Var/S of a bidegreed graph depends only on n and the degree gap."""
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         if not (ctx.cls.is_connected and ctx.cls.is_bidegreed):
             continue
         out.checked += 1
@@ -440,13 +431,12 @@ def _suite_omega(pairs: list[tuple[str, Graph]]) -> _Outcome:
     return out
 
 
-def _suite_spectral(pairs: list[tuple[str, Graph]]) -> _Outcome:
+def _suite_spectral(pairs: Pairs) -> _Outcome:
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         if not ctx.cls.is_connected or ctx.cls.is_regular:
             continue
-        params = two_walk_params(g)
+        params = two_walk_params(ctx.g, ctx)
         if params is None:
             continue
         out.checked += 1
@@ -457,7 +447,7 @@ def _suite_spectral(pairs: list[tuple[str, Graph]]) -> _Outcome:
             Fraction(params.a),
             Fraction(0),
         )
-        ident = variance_spectral_identity(g)
+        ident = variance_spectral_identity(ctx.g, ctx)
         out.expect(
             code,
             "two_walk_var_identity",
@@ -465,20 +455,19 @@ def _suite_spectral(pairs: list[tuple[str, Graph]]) -> _Outcome:
             ident.var_via_params,
             ctx.ms.var,
         )
-        lam, _ = main_eigenvalues(params)
-        radius = spectral_radius_estimate(g)
+        holds, disc, square = two_walk_radius_test(params, ctx.stats.min_degree)
         out.expect(
             code,
             "two_walk_radius",
-            abs(radius - lam) <= SPECTRAL_RADIUS_TOL,
-            Fraction(radius).limit_denominator(10**12),
-            Fraction(lam).limit_denominator(10**12),
-            f"power iteration {radius!r} vs closed form {lam!r}",
+            holds,
+            Fraction(disc),
+            Fraction(square),
+            "a^2+4b <= (a-2*Dmin)^2: Dmin <= mu, so lambda is not the spectral radius",
         )
     return out
 
 
-def _suite_max_zagreb_universal(pairs: list[tuple[str, Graph]]) -> _Outcome:
+def _suite_max_zagreb_universal(pairs: Pairs) -> _Outcome:
     """Among same-order irregular graphs, max-M1 graphs have a universal vertex.
 
     Meaningful only when the population contains, for each order present,
@@ -486,8 +475,7 @@ def _suite_max_zagreb_universal(pairs: list[tuple[str, Graph]]) -> _Outcome:
     """
     out = _Outcome()
     by_n: dict[int, list[tuple[str, GraphContext]]] = {}
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         if ctx.cls.is_regular or not ctx.cls.is_connected:
             continue
         by_n.setdefault(ctx.n, []).append((code, ctx))
@@ -508,7 +496,7 @@ def _suite_max_zagreb_universal(pairs: list[tuple[str, Graph]]) -> _Outcome:
     return out
 
 
-_SUITES: dict[str, Callable[[list[tuple[str, Graph]]], _Outcome]] = {
+_SUITES: dict[str, Callable[[Pairs], _Outcome]] = {
     "bounds": _suite_bounds,
     "bidegreed": _suite_bidegreed,
     "balanced": _suite_balanced,
@@ -531,8 +519,8 @@ def run_suite(
     cache_dir: Optional[str] = None,
 ) -> VerificationReport:
     """Run one suite over a population and package a deterministic report."""
-    start = time.perf_counter()
     pairs, desc = _materialise(population, workers, cache_dir)
+    start = time.perf_counter()
     if suite_id in _SUITES:
         outcome = _SUITES[suite_id](pairs)
     elif suite_id in BOUND_IDS:
@@ -587,11 +575,10 @@ def check_deviation_conjecture(
     {min degree, average degree, max degree}; deviations from that pattern
     are reported as findings, never as violations.
     """
-    start = time.perf_counter()
     pairs, desc = _materialise(population, workers, cache_dir)
+    start = time.perf_counter()
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         out.checked += 1
         ms = ctx.ms
         second_rhs = ms.irr * ms.ird / Fraction(ctx.n**2)
@@ -641,11 +628,10 @@ def check_omega_conjecture(
     Equality is expected exactly for bidegreed graphs with degree gap 1;
     other equality cases are recorded as findings.
     """
-    start = time.perf_counter()
     pairs, desc = _materialise(population, workers, cache_dir)
+    start = time.perf_counter()
     out = _Outcome()
-    for code, g in pairs:
-        ctx = context(g)
+    for code, ctx in pairs:
         if ctx.cls.is_regular:
             continue
         out.checked += 1

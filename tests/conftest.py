@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import strategies as st
 
@@ -70,6 +71,14 @@ def ird_definitional(g: Graph) -> Fraction:
     return Fraction(2 * n_max * n_min, n_max + n_min) * (
         st_.max_degree - st_.min_degree
     )
+
+
+def spectral_radius_numpy(g: Graph) -> float:
+    """Largest adjacency eigenvalue from numpy, a float oracle for tests only."""
+    adj = numpy.zeros((g.n, g.n))
+    for u, v in g.edges():
+        adj[u, v] = adj[v, u] = 1.0
+    return float(max(numpy.linalg.eigvalsh(adj)))
 
 
 # --- session-scoped populations ----------------------------------------------

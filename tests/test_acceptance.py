@@ -26,8 +26,8 @@ from graphirr.io import parse_graph6
 from graphirr.measures import AMBIGUOUS_BOUNDS, measure_set
 from graphirr.spectral import (
     main_eigenvalues,
-    spectral_radius_estimate,
     two_walk_params,
+    two_walk_radius_test,
     variance_spectral_identity,
 )
 from graphirr.verify import (
@@ -39,7 +39,7 @@ from graphirr.verify import (
     split_deviation_argmax,
 )
 
-from conftest import s_definitional, var_definitional
+from conftest import s_definitional, spectral_radius_numpy, var_definitional
 
 
 def acceptance(name):
@@ -148,8 +148,10 @@ def test_mycielskian_two_walk():
     assert ident.var_via_params == F(50, 121)
     assert ident.matches and measure_set(g).var == F(50, 121)
     lam, _ = main_eigenvalues(params)
-    assert abs(spectral_radius_estimate(g) - (1 + math.sqrt(41)) / 2) <= 1e-6
     assert abs(lam - (1 + math.sqrt(41)) / 2) <= 1e-12
+    # exact: a - 2*Dmin = 1 - 6 < 0, so Dmin > mu and lambda is the radius
+    assert two_walk_radius_test(params, degree_stats(g).min_degree) == (True, 41, 25)
+    assert abs(spectral_radius_numpy(g) - (1 + math.sqrt(41)) / 2) <= 1e-9
 
 
 @acceptance("family-closed-forms")

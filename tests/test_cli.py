@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from graphirr.canon import canonical_code
 from graphirr.cli import main
@@ -222,3 +226,11 @@ class TestExitContract:
         assert _emit_reports([bad], RunConfig()) == 1
         out = capsys.readouterr().out
         assert "VIOLATION" in out
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_does_not_load_numpy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import graphirr.cli, sys; assert 'numpy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

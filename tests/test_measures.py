@@ -18,7 +18,6 @@ from graphirr.families import (
 )
 from graphirr.graph import classify, degree_stats, from_edge_list
 from graphirr.measures import (
-    bidegreed_identities,
     bound_report,
     centered_sequence_bound,
     cyclic_formulas,
@@ -27,6 +26,7 @@ from graphirr.measures import (
     tree_formulas,
     variance_decomposition,
 )
+from graphirr.verify import run_suite
 
 from conftest import (
     connected_graphs,
@@ -129,35 +129,40 @@ class TestZagreb:
 
 
 class TestBidegreedIdentities:
+    """The two-degree identities, checked by the ``bidegreed`` suite."""
+
+    def _checked(self, *graphs):
+        rep = run_suite(list(graphs), "bidegreed")
+        assert rep.passed, rep.violations
+        return rep.graphs_checked
+
     def test_star(self):
-        rec = bidegreed_identities(star(4))
-        assert rec.s_equals_ird
-        assert rec.scaled_var_equals_gap_s
+        ms = measure_set(star(4))
+        assert ms.s == ms.ird
+        assert 2 * 4 * ms.var == 2 * ms.s
+        assert self._checked(star(4)) == 1
 
     def test_wheel5(self):
-        rec = bidegreed_identities(wheel(5))
-        assert rec.var_closed == F(4, 25)
-        assert rec.scaled_var_equals_gap_s  # 2*5*(4/25) == 1*(8/5)
+        ms = measure_set(wheel(5))
+        assert ms.var == F(4, 25)
+        assert 2 * 5 * ms.var == 1 * ms.s  # 2*5*(4/25) == 1*(8/5)
+        assert self._checked(wheel(5)) == 1
 
     def test_diamond(self):
-        rec = bidegreed_identities(named("diamond"))
-        assert rec.var_closed == F(1, 4)
-        assert rec.s_equals_ird
+        ms = measure_set(named("diamond"))
+        assert ms.var == F(1, 4)
+        assert ms.s == ms.ird
+        assert self._checked(named("diamond")) == 1
 
     def test_rejects_tridegreed(self):
-        with pytest.raises(InputError):
-            bidegreed_identities(complete_multipartite([2, 3, 5]))
+        assert self._checked(complete_multipartite([2, 3, 5])) == 0
 
     def test_rejects_regular(self):
-        with pytest.raises(InputError):
-            bidegreed_identities(cycle(4))
+        assert self._checked(cycle(4)) == 0
 
     def test_every_connected_bidegreed_upto6(self, connected_upto6):
-        for pop in connected_upto6.values():
-            for g in pop:
-                if classify(g).is_bidegreed:
-                    rec = bidegreed_identities(g)
-                    assert rec.s_equals_ird and rec.scaled_var_equals_gap_s
+        graphs = [g for pop in connected_upto6.values() for g in pop]
+        assert self._checked(*graphs) == sum(classify(g).is_bidegreed for g in graphs)
 
 
 class TestVarianceDecomposition:

@@ -9,7 +9,6 @@ from graphirr.serialize import (
     fraction_decimal,
     fraction_json,
     fraction_text,
-    measure_set_csv,
     measure_set_json,
     report_json,
     report_json_text,
@@ -49,11 +48,6 @@ class TestMeasureRendering:
 
         doc = measure_set_json(measure_set(cycle(5)))
         assert doc["omega"] is None
-
-    def test_csv_uses_decimals(self):
-        ms = measure_set(wheel(5))
-        row = measure_set_csv(ms)
-        assert row.split(",")[1] == "1.6"  # S = 8/5
 
     def test_bound_record_json(self):
         rec = bound_report(wheel(6))[0]

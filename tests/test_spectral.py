@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from graphirr.enumeration import EnumerationSpec, enumerate_codes
 from graphirr.errors import InputError
 from graphirr.families import (
-    complete,
     complete_split,
     cycle,
     named,
@@ -14,14 +14,17 @@ from graphirr.families import (
     wheel,
 )
 from graphirr.graph import from_edge_list
+from graphirr.io import parse_graph6
 from graphirr.measures import measure_set
 from graphirr.spectral import (
     TwoWalkParams,
     main_eigenvalues,
-    spectral_radius_estimate,
     two_walk_params,
+    two_walk_radius_test,
     variance_spectral_identity,
 )
+
+from conftest import spectral_radius_numpy
 
 
 def friendship(k: int):
@@ -122,33 +125,53 @@ class TestVarianceIdentity:
             variance_spectral_identity(path(5))
 
 
-class TestSpectralRadius:
-    def test_complete(self):
-        assert spectral_radius_estimate(complete(4)) == pytest.approx(3.0, abs=1e-9)
+def two_walk_classes_upto6():
+    """Every connected irregular 2-walk-linear class on at most 6 vertices."""
+    out = []
+    for n in range(2, 7):
+        for code in enumerate_codes(EnumerationSpec(n=n, connected_only=True)):
+            g = parse_graph6(code)
+            if len(set(g.degrees())) > 1 and two_walk_params(g) is not None:
+                out.append(g)
+    return out
 
-    def test_cycle(self):
-        assert spectral_radius_estimate(cycle(6)) == pytest.approx(2.0, abs=1e-9)
+
+def assert_radius_is_main_root(g):
+    """numpy's largest eigenvalue equals (a + sqrt(D))/2, and the exact test agrees."""
+    p = two_walk_params(g)
+    lam = (p.a + math.sqrt(p.a**2 + 4 * p.b)) / 2
+    assert spectral_radius_numpy(g) == pytest.approx(lam, abs=1e-9)
+    holds, _, _ = two_walk_radius_test(p, min(g.degrees()))
+    assert holds
+
+
+class TestSpectralRadius:
+    """The exact Perron-Frobenius test against numpy's eigenvalues as oracle."""
+
+    def test_every_two_walk_class_upto6(self):
+        graphs = two_walk_classes_upto6()
+        assert len(graphs) == 28  # the spectral suite's count at --max-n 6
+        for g in graphs:
+            assert_radius_is_main_root(g)
 
     def test_star_bipartite(self):
-        assert spectral_radius_estimate(star(9)) == pytest.approx(
-            math.sqrt(8), abs=1e-9
-        )
+        assert two_walk_params(star(9)) == TwoWalkParams(a=0, b=8)
+        assert_radius_is_main_root(star(9))
 
     def test_grotzsch(self):
-        assert spectral_radius_estimate(named("grotzsch")) == pytest.approx(
-            (1 + math.sqrt(41)) / 2, abs=1e-6
-        )
-
-    def test_single_vertex(self):
-        assert spectral_radius_estimate(from_edge_list(1, [])) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(InputError):
-            spectral_radius_estimate(from_edge_list(4, [(0, 1), (2, 3)]))
+        assert_radius_is_main_root(named("grotzsch"))
 
     def test_agrees_with_two_walk_root(self):
         for g in (wheel(7), complete_split(8, 3), friendship(4)):
-            lam, _ = main_eigenvalues(two_walk_params(g))
-            assert spectral_radius_estimate(g) == pytest.approx(lam, abs=1e-6)
+            assert_radius_is_main_root(g)
+
+    def test_integer_sides(self):
+        # grotzsch: D = 41, t = 1 - 2*3 < 0; wheel 6: D = 24 > (2 - 2*3)^2 = 16
+        assert two_walk_radius_test(TwoWalkParams(1, 10), 3) == (True, 41, 25)
+        assert two_walk_radius_test(TwoWalkParams(2, 5), 3) == (True, 24, 16)
+
+    def test_min_degree_at_or_below_mu_fails(self):
+        # a = 4, b = -3: mu = (4 - 2)/2 = 1, so Dmin = 1 and Dmin = 0 both fail
+        assert two_walk_radius_test(TwoWalkParams(4, -3), 1) == (False, 4, 4)
+        assert two_walk_radius_test(TwoWalkParams(4, -3), 0) == (False, 4, 16)
+        assert two_walk_radius_test(TwoWalkParams(4, -3), 2) == (True, 4, 0)

@@ -1,14 +1,18 @@
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from graphirr import graph, verify
 from graphirr.canon import canonical_code
-from graphirr.enumeration import EnumerationSpec
+from graphirr.enumeration import EnumerationSpec, enumerate_codes
 from graphirr.errors import InputError
 from graphirr.families import complete, complete_split, path, star, wheel
 from graphirr.graph import from_edge_list
 from graphirr.measures import measure_set
 from graphirr.serialize import report_json_text
+from graphirr.spectral import TwoWalkParams
 from graphirr.verify import (
     check_deviation_conjecture,
     check_omega_conjecture,
@@ -76,6 +80,51 @@ class TestRunSuite:
             [wheel(6), complete_multipartite([2, 3, 5]), complete(4)], "omega"
         )
         assert rep.graphs_checked == 1 and rep.passed
+
+
+class TestSinglePass:
+    def test_degree_stats_once_per_graph(self, monkeypatch):
+        real = graph.degree_stats
+        seen = []
+
+        def counting(g):
+            seen.append(canonical_code(g))
+            return real(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graphirr") and getattr(module, "degree_stats", None) is real:
+                monkeypatch.setattr(module, "degree_stats", counting)
+        specs = [EnumerationSpec(n=k, connected_only=True) for k in range(1, 6)]
+        reports = run_all_suites(specs)
+        assert sorted(seen) == [code for spec in specs for code in enumerate_codes(spec)]
+        assert reports[0].graphs_checked == len(seen) == 31
+        seen.clear()
+        graphs = [star(5), wheel(6), path(4)]
+        run_all_suites(graphs)
+        assert sorted(seen) == sorted(canonical_code(g) for g in graphs)
+
+    def test_elapsed_times_suite_evaluation_only(self, monkeypatch):
+        real = verify.enumerate_codes_cached
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "enumerate_codes_cached", slow)
+        spec = EnumerationSpec(n=4, connected_only=True)
+        assert run_suite(spec, "bounds").elapsed < 0.2
+        assert all(rep.elapsed < 0.2 for rep in run_all_suites(spec))
+        assert check_deviation_conjecture(spec).elapsed < 0.2
+        assert check_omega_conjecture(spec).elapsed < 0.2
+
+    def test_spectral_suite_reports_radius_failure(self, monkeypatch):
+        # star(4) has Dmin = 1; a = 4, b = -3 gives mu = (4 - 2)/2 = 1 = Dmin
+        monkeypatch.setattr(
+            verify, "two_walk_params", lambda g, ctx=None: TwoWalkParams(4, -3)
+        )
+        rep = run_suite([star(4)], "spectral")
+        radius = [(v.lhs, v.rhs) for v in rep.violations if v.check == "two_walk_radius"]
+        assert radius == [("4", "4")]
 
 
 class TestConjectures:
