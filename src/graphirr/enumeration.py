@@ -12,6 +12,7 @@ are reproducible and independent of worker count.
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import Pool
@@ -247,8 +248,20 @@ def enumerate_codes_cached(
             return [line.strip() for line in fh if line.strip()]
     codes = enumerate_codes(spec, workers)
     os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(codes) + ("\n" if codes else ""))
-    os.replace(tmp, path)
+    # a private temporary name per writer, so concurrent writers cannot clash
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write("\n".join(codes) + ("\n" if codes else ""))
+        os.chmod(tmp, 0o666 & ~_umask())  # the mode open() would have given
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return codes
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask

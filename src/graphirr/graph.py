@@ -160,25 +160,17 @@ class Classification:
     complete_split_k: Optional[int]
 
 
-def _complete_split_k(g: Graph, stats: DegreeStats) -> Optional[int]:
-    # k universal vertices forming a clique, the rest pairwise non-adjacent.
-    n = g.n
+def _complete_split_k(n: int, stats: DegreeStats) -> Optional[int]:
+    # CS(n, k) is the only graph with degrees (n-1)^k k^(n-k): k universal
+    # vertices, and n-k vertices that see nothing else.
+    q = stats.universal_count
     if n < 2:
         return None
-    universal = 0
-    for v in range(n):
-        if stats.degrees[v] == n - 1:
-            universal |= 1 << v
-    q = universal.bit_count()
     if q == n:
         return n - 1
-    if q == 0:
-        return None
-    rest = ((1 << n) - 1) ^ universal
-    for v in range(n):
-        if rest >> v & 1 and g.rows[v] & rest:
-            return None
-    return q
+    if q >= 1 and stats.histogram.get(q, 0) == n - q:
+        return q
+    return None
 
 
 def classify(g: Graph, stats: Optional[DegreeStats] = None) -> Classification:
@@ -202,5 +194,5 @@ def classify(g: Graph, stats: Optional[DegreeStats] = None) -> Classification:
         is_tree=connected and cyclo == 0,
         is_unicyclic=connected and cyclo == 1,
         cyclomatic=cyclo,
-        complete_split_k=_complete_split_k(g, st),
+        complete_split_k=_complete_split_k(g.n, st),
     )

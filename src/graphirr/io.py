@@ -92,6 +92,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise InputError(f"bad header {lines[0]!r}") from exc
+    if n > _G6_MAX_N:
+        raise CapabilityError(f"edge-list reader supports n <= {_G6_MAX_N}, got {n}")
     if len(lines) - 1 != m:
         raise InputError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []

@@ -64,6 +64,11 @@ class GraphContext:
     def n_min(self) -> int:
         return self.stats.histogram[self.stats.min_degree]
 
+    @property
+    def product_bound(self) -> Fraction:
+        """(Dmax - 2m/n)(2m/n - Dmin): caps Var, equal to it on at most two degrees."""
+        return (self.stats.max_degree - self.avg) * (self.avg - self.stats.min_degree)
+
 
 def first_zagreb(g: Graph, stats: Optional[DegreeStats] = None) -> Fraction:
     st = stats if stats is not None else degree_stats(g)
@@ -107,7 +112,7 @@ def variance_decomposition(g: Graph) -> VarianceDecomposition:
     ctx = context(g)
     if not ctx.cls.is_connected:
         raise InputError("variance decomposition needs a connected graph")
-    bound = (ctx.stats.max_degree - ctx.avg) * (ctx.avg - ctx.stats.min_degree)
+    bound = ctx.product_bound
     if ctx.ms.var > bound:
         raise AssertionError("variance exceeded its product bound")
     return VarianceDecomposition(product_bound=bound, is_exact=ctx.ms.var == bound)
@@ -396,6 +401,9 @@ class TreeFormulas:
     ird_upper: Fraction
     ird_lower: Fraction
     n1_based_s: Fraction
+    s_floor: Fraction  # S of the path, the least S over trees on n vertices
+    var_floor: Fraction  # Var of the path, likewise
+    var_s_gap: Fraction  # Var - S/(2n) as a weighted sum over degrees >= 3
 
 
 def _branch_weight(hist: dict[int, int]) -> int:
@@ -410,9 +418,16 @@ def tree_formulas(t: Graph, ctx: Optional[GraphContext] = None) -> TreeFormulas:
     n = ctx.n
     hist = ctx.stats.histogram
     bw = _branch_weight(hist)
-    s_closed = Fraction(4 * (n - 2), n) + Fraction(2 * (n - 2), n) * bw
-    var_closed = Fraction(2 * (n - 2), n * n) + Fraction(
+    s_floor = Fraction(4 * (n - 2), n)
+    var_floor = Fraction(2 * (n - 2), n * n)
+    s_closed = s_floor + Fraction(2 * (n - 2), n) * bw
+    var_closed = var_floor + Fraction(
         sum((d - 1) * (d - 2) * c for d, c in hist.items() if d >= 3), n
+    )
+    # each degree-d vertex, d >= 3, adds (d-2)(d - (2n-2)/n)/n
+    var_s_gap = Fraction(
+        sum((d - 2) * (n * d - 2 * n + 2) * c for d, c in hist.items() if d >= 3),
+        n * n,
     )
     dmax = ctx.stats.max_degree
     n_top = hist[dmax]
@@ -435,6 +450,9 @@ def tree_formulas(t: Graph, ctx: Optional[GraphContext] = None) -> TreeFormulas:
         ird_upper=ird_upper,
         ird_lower=ird_lower,
         n1_based_s=n1_based_s,
+        s_floor=s_floor,
+        var_floor=var_floor,
+        var_s_gap=var_s_gap,
     )
 
 
@@ -443,6 +461,7 @@ class CyclicFormulas:
     s_closed: Fraction
     var_closed: Fraction
     unicyclic_s: Optional[Fraction]  # 2*N1, present only when m == n
+    unicyclic_residue: Optional[Fraction]  # n*Var - S, present only when m == n
 
 
 def cyclic_formulas(g: Graph, ctx: Optional[GraphContext] = None) -> CyclicFormulas:
@@ -459,9 +478,11 @@ def cyclic_formulas(g: Graph, ctx: Optional[GraphContext] = None) -> CyclicFormu
     var_closed = Fraction(
         sum((d - 1) * (d - 2) * c for d, c in hist.items() if d >= 3), n
     ) - Fraction(2 * (2 * m - n) * (m - n), n * n)
-    unicyclic_s = Fraction(2 * hist.get(1, 0)) if m == n else None
+    unicyclic = m == n
+    residue = sum((d - 2) * (d - 3) * c for d, c in hist.items() if d >= 4)
     return CyclicFormulas(
         s_closed=s_closed,
         var_closed=var_closed,
-        unicyclic_s=unicyclic_s,
+        unicyclic_s=Fraction(2 * hist.get(1, 0)) if unicyclic else None,
+        unicyclic_residue=Fraction(residue) if unicyclic else None,
     )

@@ -27,12 +27,16 @@ from .families import complete_split
 from .graph import Graph
 from .io import parse_graph6
 from .measures import (
+    _BOUNDS,
     AMBIGUOUS_BOUNDS,
     BOUND_IDS,
     CONDITION_MISMATCH,
     NOT_APPLICABLE,
     GraphContext,
+    _branch_weight,
     _cyclic_range,
+    _degrees_within_extremes_or_mean,
+    _evaluate,
     bound_report,
     context,
     cyclic_formulas,
@@ -111,6 +115,27 @@ class _Outcome:
     ) -> None:
         self.expect(code, check, lhs == rhs, lhs, rhs, note)
 
+    def expect_iff(
+        self,
+        code: str,
+        check: str,
+        ok: bool,
+        lhs: Fraction,
+        rhs: Fraction,
+        predicted: bool,
+        equality_check: Optional[str] = None,
+    ) -> None:
+        """The inequality ``check``, and equality exactly when ``predicted``."""
+        self.expect(code, check, ok, lhs, rhs)
+        self.expect(
+            code,
+            equality_check or check + "_equality_iff",
+            (lhs == rhs) == predicted,
+            lhs,
+            rhs,
+            "equality condition mismatch",
+        )
+
 
 Population = Union[EnumerationSpec, Sequence[EnumerationSpec], Sequence[Graph]]
 #: (canonical code, context) per graph, sorted by code.
@@ -151,16 +176,9 @@ def _suite_bounds(pairs: Pairs, only: Optional[str] = None) -> _Outcome:
                 continue
             if rec.agreement == NOT_APPLICABLE:
                 continue
-            if not rec.holds:
-                out.violations.append(
-                    Violation(
-                        code,
-                        rec.bound_id,
-                        fraction_text(rec.lhs),
-                        fraction_text(rec.rhs),
-                        "inequality failed",
-                    )
-                )
+            out.expect(
+                code, rec.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed"
+            )
             if rec.agreement == CONDITION_MISMATCH:
                 note = (
                     "equality observed without the documented condition"
@@ -170,15 +188,7 @@ def _suite_bounds(pairs: Pairs, only: Optional[str] = None) -> _Outcome:
                 if rec.bound_id in AMBIGUOUS_BOUNDS:
                     out.findings.append(Finding(code, rec.bound_id, note))
                 else:
-                    out.violations.append(
-                        Violation(
-                            code,
-                            rec.bound_id,
-                            fraction_text(rec.lhs),
-                            fraction_text(rec.rhs),
-                            note,
-                        )
-                    )
+                    out.expect(code, rec.bound_id, False, rec.lhs, rec.rhs, note)
     return out
 
 
@@ -194,14 +204,7 @@ def _suite_bidegreed(pairs: Pairs) -> _Outcome:
         out.expect_eq(code, "two_n_var_eq_gap_s", 2 * ctx.n * ms.var, ctx.gap * ms.s)
         closed = Fraction(ctx.n_max * ctx.n_min * ctx.gap**2, ctx.n**2)
         out.expect_eq(code, "var_product_closed_form", ms.var, closed)
-        out.expect(
-            code,
-            "var_decomposition_exact",
-            ms.var
-            == (ctx.stats.max_degree - ctx.avg) * (ctx.avg - ctx.stats.min_degree),
-            ms.var,
-            (ctx.stats.max_degree - ctx.avg) * (ctx.avg - ctx.stats.min_degree),
-        )
+        out.expect_eq(code, "var_decomposition_exact", ms.var, ctx.product_bound)
     return out
 
 
@@ -228,19 +231,16 @@ def _suite_degree_counts(pairs: Pairs) -> _Outcome:
         out.checked += 1
         hist = ctx.stats.histogram
         c = ctx.cls.cyclomatic or 0
-        high_minus2 = sum((d - 2) * cnt for d, cnt in hist.items() if d >= 3)
-        high_minus1 = sum((d - 1) * cnt for d, cnt in hist.items() if d >= 3)
+        bw = _branch_weight(hist)
+        n_high = sum(cnt for d, cnt in hist.items() if d >= 3)
         out.expect_eq(
-            code,
-            "pendant_count",
-            Fraction(hist.get(1, 0)),
-            Fraction(2 - 2 * c + high_minus2),
+            code, "pendant_count", Fraction(hist.get(1, 0)), Fraction(2 - 2 * c + bw)
         )
         out.expect_eq(
             code,
             "degree_two_count",
             Fraction(hist.get(2, 0)),
-            Fraction(2 * c + ctx.n - 2 - high_minus1),
+            Fraction(2 * c + ctx.n - 2 - bw - n_high),
         )
     return out
 
@@ -264,97 +264,63 @@ def _suite_trees(pairs: Pairs) -> _Outcome:
 
         is_path = _is_path_graph(ctx)
         n = ctx.n
-        for check, lhs, rhs, cond in (
-            ("tree_s_floor", ms.s, Fraction(4 * (n - 2), n), is_path),
-            ("tree_var_floor", ms.var, Fraction(2 * (n - 2), n * n), is_path),
-        ):
-            out.expect(code, check, lhs >= rhs, lhs, rhs)
-            out.expect(
-                code,
-                check + "_equality_iff",
-                (lhs == rhs) == cond,
-                lhs,
-                rhs,
-                "equality condition mismatch",
-            )
+        out.expect_iff(
+            code, "tree_s_floor", ms.s >= tf.s_floor, ms.s, tf.s_floor, is_path
+        )
+        out.expect_iff(
+            code,
+            "tree_var_floor",
+            ms.var >= tf.var_floor,
+            ms.var,
+            tf.var_floor,
+            is_path,
+        )
         if n >= 3:
-            out.expect(code, "tree_irr_floor", ms.irr >= Fraction(n, 2), ms.irr, Fraction(n, 2))
-            out.expect(
-                code,
-                "tree_irr_floor_equality_iff",
-                (ms.irr == Fraction(n, 2)) == is_path,
-                ms.irr,
-                Fraction(n, 2),
-                "equality condition mismatch",
+            half_n = Fraction(n, 2)
+            out.expect_iff(
+                code, "tree_irr_floor", ms.irr >= half_n, ms.irr, half_n, is_path
             )
 
         # IRD bracketed by the branch-weight bounds, tight iff no middle degrees
         no_mid = all(d in (1, 2, ctx.stats.max_degree) for d in ctx.stats.degree_set)
-        out.expect(code, "tree_ird_upper", ms.ird <= tf.ird_upper, ms.ird, tf.ird_upper)
-        out.expect(
-            code,
-            "tree_ird_upper_equality_iff",
-            (ms.ird == tf.ird_upper) == no_mid,
-            ms.ird,
-            tf.ird_upper,
-            "equality condition mismatch",
+        out.expect_iff(
+            code, "tree_ird_upper", ms.ird <= tf.ird_upper, ms.ird, tf.ird_upper, no_mid
         )
-        out.expect(code, "tree_ird_lower", ms.ird >= tf.ird_lower, ms.ird, tf.ird_lower)
-        out.expect(
-            code,
-            "tree_ird_lower_equality_iff",
-            (ms.ird == tf.ird_lower) == no_mid,
-            ms.ird,
-            tf.ird_lower,
-            "equality condition mismatch",
+        out.expect_iff(
+            code, "tree_ird_lower", ms.ird >= tf.ird_lower, ms.ird, tf.ird_lower, no_mid
         )
 
         # mean-relative identity: Var - S/(2n) is a weighted branch sum, >= 0
-        hist = ctx.stats.histogram
-        branch_sum = sum(
-            (Fraction(d - 2) * cnt) * (d - Fraction(2 * n - 2, n))
-            for d, cnt in hist.items()
-            if d >= 3
-        )
         gap_val = ms.var - ms.s / (2 * n)
-        out.expect_eq(code, "tree_var_s_gap_identity", gap_val, branch_sum / n)
-        out.expect(code, "tree_var_s_gap_sign", gap_val >= 0, gap_val, Fraction(0))
-        out.expect(
+        out.expect_eq(code, "tree_var_s_gap_identity", gap_val, tf.var_s_gap)
+        out.expect_iff(
             code,
-            "tree_var_s_gap_equality_iff",
-            (gap_val == 0) == is_path,
+            "tree_var_s_gap_sign",
+            gap_val >= 0,
             gap_val,
             Fraction(0),
-            "equality condition mismatch",
+            is_path,
+            "tree_var_s_gap_equality_iff",
         )
         if n >= 4:
             assert ms.omega is not None
-            out.expect(
-                code,
-                "tree_omega_floor",
-                ms.omega >= Fraction(1, 2 * n),
-                ms.omega,
-                Fraction(1, 2 * n),
-            )
-            out.expect(
-                code,
-                "tree_omega_floor_equality_iff",
-                (ms.omega == Fraction(1, 2 * n)) == is_path,
-                ms.omega,
-                Fraction(1, 2 * n),
-                "equality condition mismatch",
+            floor = Fraction(1, 2 * n)
+            out.expect_iff(
+                code, "tree_omega_floor", ms.omega >= floor, ms.omega, floor, is_path
             )
         if n >= 3:
-            out.expect(code, "tree_s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird)
-            out.expect(
+            out.expect_iff(
                 code,
-                "tree_s_ge_ird_equality_iff",
-                (ms.s == ms.ird) == ctx.cls.is_bidegreed,
+                "tree_s_ge_ird",
+                ms.s >= ms.ird,
                 ms.s,
                 ms.ird,
-                "equality condition mismatch",
+                ctx.cls.is_bidegreed,
             )
     return out
+
+
+_BOUND_DEFS = {b.bound_id: b for b in _BOUNDS}
 
 
 def _suite_cyclic(pairs: Pairs) -> _Outcome:
@@ -363,53 +329,40 @@ def _suite_cyclic(pairs: Pairs) -> _Outcome:
         if not _cyclic_range(ctx):
             continue
         out.checked += 1
-        c = ctx.cls.cyclomatic or 0
         ms = ctx.ms
         cf = cyclic_formulas(ctx.g, ctx)
         out.expect_eq(code, "cyclic_s_closed", cf.s_closed, ms.s)
         out.expect_eq(code, "cyclic_var_closed", cf.var_closed, ms.var)
-        hist = ctx.stats.histogram
-        n = ctx.n
         if ctx.cls.is_unicyclic:
-            assert cf.unicyclic_s is not None
+            assert cf.unicyclic_s is not None and cf.unicyclic_residue is not None
             out.expect_eq(code, "unicyclic_s_eq_2n1", cf.unicyclic_s, ms.s)
-            residue = sum(
-                (d - 2) * (d - 3) * cnt for d, cnt in hist.items() if d >= 4
-            )
+            nvar_minus_s = ctx.n * ms.var - ms.s
             out.expect_eq(
-                code,
-                "unicyclic_nvar_minus_s",
-                n * ms.var - ms.s,
-                Fraction(residue),
+                code, "unicyclic_nvar_minus_s", nvar_minus_s, cf.unicyclic_residue
             )
             if not ctx.cls.is_regular:
                 assert ms.omega is not None
-                floor = Fraction(1, n)
+                floor = Fraction(1, ctx.n)
                 within_123 = all(d <= 3 for d in ctx.stats.degree_set)
-                out.expect(
-                    code, "unicyclic_omega_floor", ms.omega >= floor, ms.omega, floor
-                )
-                out.expect(
+                out.expect_iff(
                     code,
-                    "unicyclic_omega_floor_equality_iff",
-                    (ms.omega == floor) == within_123,
+                    "unicyclic_omega_floor",
+                    ms.omega >= floor,
                     ms.omega,
                     floor,
-                    "equality condition mismatch",
+                    within_123,
                 )
-        if not ctx.cls.is_regular:
-            assert ms.omega is not None
-            floor = Fraction(1, n) - Fraction(2) / ms.s
-            out.expect(code, "cyclic_omega_floor", ms.omega >= floor, ms.omega, floor)
-        cap = Fraction(2 * (hist.get(1, 0) + 2 * c - 2))
-        out.expect(code, "pendant_cyclic_cap", ms.s <= cap, ms.s, cap)
-        out.expect(
+        # two bounds of the suite, reported under this suite's check names
+        rec = _evaluate(_BOUND_DEFS["omega_ge_cyclic_floor"], ctx)
+        out.expect(code, "cyclic_omega_floor", rec.holds, rec.lhs, rec.rhs)
+        rec = _evaluate(_BOUND_DEFS["s_le_pendant_cyclic_cap"], ctx)
+        out.expect_iff(
             code,
-            "pendant_cyclic_cap_equality_iff",
-            (ms.s == cap) == ctx.cls.is_unicyclic,
-            ms.s,
-            cap,
-            "equality condition mismatch",
+            "pendant_cyclic_cap",
+            rec.holds,
+            rec.lhs,
+            rec.rhs,
+            rec.predicted_equality,
         )
     return out
 
@@ -586,34 +539,16 @@ def check_deviation_conjecture(
         out.expect(
             code, "var_ge_irr_ird", ms.var >= second_rhs, ms.var, second_rhs
         )
-        allowed = {
-            Fraction(ctx.stats.min_degree),
-            ctx.avg,
-            Fraction(ctx.stats.max_degree),
-        }
-        predicted = all(Fraction(d) in allowed for d in ctx.stats.degree_set)
-        eq1 = ms.s == ms.ird
-        eq2 = ms.var == second_rhs
-        if eq1:
-            out.equalities.append(EqualityCase(code, "s_eq_ird"))
-        if eq2:
-            out.equalities.append(EqualityCase(code, "var_eq_irr_ird"))
-        if eq1 != predicted:
-            out.findings.append(
-                Finding(
-                    code,
-                    "s_eq_ird",
-                    "equality pattern disagrees with the degree-set condition",
-                )
-            )
-        if eq2 != predicted:
-            out.findings.append(
-                Finding(
-                    code,
-                    "var_eq_irr_ird",
-                    "equality pattern disagrees with the degree-set condition",
-                )
-            )
+        predicted = _degrees_within_extremes_or_mean(ctx)
+        for check, equal in (
+            ("s_eq_ird", ms.s == ms.ird),
+            ("var_eq_irr_ird", ms.var == second_rhs),
+        ):
+            if equal:
+                out.equalities.append(EqualityCase(code, check))
+            if equal != predicted:
+                note = "equality pattern disagrees with the degree-set condition"
+                out.findings.append(Finding(code, check, note))
     return _package("conjecture-ird", desc, out, start)
 
 

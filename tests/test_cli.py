@@ -61,6 +61,12 @@ class TestCompute:
         code, _, err = run(capsys, "compute", str(p))
         assert code == 2 and "error" in err
 
+    def test_oversized_edge_list_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "huge.txt"
+        p.write_text("258048 0\n")
+        code, _, err = run(capsys, "compute", str(p))
+        assert code == 3 and "capability error" in err
+
     def test_stdin_dash(self, capsys, monkeypatch):
         import io
 

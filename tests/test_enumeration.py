@@ -1,9 +1,12 @@
 import math
+import os
+import stat
 from itertools import permutations
 
 import networkx as nx
 import pytest
 
+from graphirr import __version__
 from graphirr.canon import canonical_code
 from graphirr.enumeration import (
     EnumerationSpec,
@@ -196,6 +199,22 @@ class TestCache:
         assert len(files) == 1
         second = enumerate_codes_cached(spec, cache_dir=str(tmp_path))
         assert first == second == enumerate_codes(spec)
+
+    def test_stale_fixed_tmp_name_does_not_block_writes(self, tmp_path):
+        # a directory where the old fixed "<path>.tmp" name pointed
+        spec = EnumerationSpec(n=4, connected_only=True)
+        final = tmp_path / f"{spec.key()}-v{__version__}.g6"
+        (tmp_path / (final.name + ".tmp")).mkdir()
+        codes = enumerate_codes_cached(spec, cache_dir=str(tmp_path))
+        assert codes == enumerate_codes(spec)
+        assert final.read_text().split() == codes
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            final.name,
+            final.name + ".tmp",
+        ]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(final.stat().st_mode) == 0o666 & ~umask
 
     def test_no_cache_dir_is_plain(self):
         spec = EnumerationSpec(n=4)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+from graphirr.canon import canonical_code
 from graphirr.errors import InputError
 from graphirr.families import (
     complete,
@@ -19,6 +20,7 @@ from graphirr.graph import (
     from_edge_list,
     is_connected,
 )
+from graphirr.io import to_graph6
 
 from conftest import graphs, permutations_of, permute
 
@@ -153,6 +155,17 @@ class TestClassify:
     def test_non_split(self):
         assert classify(cycle(5)).complete_split_k is None
         assert classify(path(4)).complete_split_k is None
+
+    def test_split_k_from_degrees_exhaustive(self, all_graphs_upto6):
+        # all 208 classes on n <= 6, disconnected included
+        assert sum(len(pop) for pop in all_graphs_upto6.values()) == 208
+        for n, pop in all_graphs_upto6.items():
+            split_codes = {
+                canonical_code(complete_split(n, k)): k for k in range(1, n)
+            }
+            for g in pop:
+                want = split_codes.get(canonical_code(g))
+                assert classify(g).complete_split_k == want, to_graph6(g)
 
     def test_split_degree_set_invariant(self):
         for n, k in [(6, 2), (8, 3), (9, 1)]:

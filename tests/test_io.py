@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from graphirr.errors import InputError
+from graphirr.errors import CapabilityError, InputError
 from graphirr.families import complete_split, cycle, path, star
 from graphirr.graph import from_edge_list
 from graphirr.io import (
@@ -93,6 +93,11 @@ class TestEdgeList:
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):
             parse_edge_list("3 1\n1 1\n")
+
+    def test_vertex_cap_before_allocation(self):
+        # one past the largest graph6 size; refused before [0] * n is built
+        with pytest.raises(CapabilityError):
+            parse_edge_list("258048 0\n")
 
 
 class TestAutodetect:
