@@ -1,31 +1,40 @@
 """Exhaustive generation of small-graph populations up to isomorphism.
 
-Fixed-(n, m) slices and whole-range populations are produced by brute force
-over labelled edge subsets of K_n, canonicalising each graph and collecting
-distinct codes; that is slow compared to orderly generation but transparent
-and easy to audit, and it is fast enough at the supported sizes.  Trees grow
-by leaf attachment with canonical deduplication; unicyclic graphs are trees
-plus one chord.  Output order is always sorted by canonical code, so runs
-are reproducible and independent of worker count.
+Every population grows one vertex at a time: a child is a representative on
+``size - 1`` vertices plus a new vertex joined to a neighbourhood mask, kept
+once per canonical graph6 code.  Every mask is tried for the whole range,
+single-vertex masks for trees; this reaches every class because deleting any
+vertex of a graph, or a leaf of a tree, leaves one of the smaller size.  The
+spec's edge count, connectivity and irregularity filter the last size only.
+Unicyclic graphs are trees plus one chord.  Output is sorted by canonical
+code, so it is identical for any worker count.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import combinations
 from multiprocessing import Pool
 from typing import Optional
 
-from .canon import canonical_rows
+from .canon import Rows, canonical_rows
 from .errors import CapabilityError, InputError
 from .graph import Graph, rows_connected
 from .io import parse_graph6, to_graph6
 
+logger = logging.getLogger(__name__)
+
 MAX_N_ALL = 8
 MAX_N_TREES = 12
 MAX_N_UNICYCLIC = 10
+# population -> (name in messages, smallest n, largest n)
+_N_RANGE = {
+    "all": ("whole-range", 1, MAX_N_ALL),
+    "trees": ("tree", 2, MAX_N_TREES),
+    "unicyclic": ("unicyclic", 3, MAX_N_UNICYCLIC),
+}
 
 
 @dataclass(frozen=True)
@@ -39,30 +48,16 @@ class EnumerationSpec:
     population: str = "all"  # "all" | "trees" | "unicyclic"
 
     def validate(self) -> None:
-        if self.population not in ("all", "trees", "unicyclic"):
+        if self.population not in _N_RANGE:
             raise InputError(f"unknown population {self.population!r}")
-        if self.population == "all":
-            if self.n < 1:
-                raise InputError("need n >= 1")
-            if self.n > MAX_N_ALL:
-                raise CapabilityError(
-                    f"whole-range enumeration capped at n={MAX_N_ALL}"
-                )
-            top = self.n * (self.n - 1) // 2
-            if self.m is not None and not 0 <= self.m <= top:
-                raise InputError(f"m={self.m} impossible for n={self.n}")
-        elif self.population == "trees":
-            if self.n < 2:
-                raise InputError("tree enumeration needs n >= 2")
-            if self.n > MAX_N_TREES:
-                raise CapabilityError(f"tree enumeration capped at n={MAX_N_TREES}")
-        else:
-            if self.n < 3:
-                raise InputError("unicyclic enumeration needs n >= 3")
-            if self.n > MAX_N_UNICYCLIC:
-                raise CapabilityError(
-                    f"unicyclic enumeration capped at n={MAX_N_UNICYCLIC}"
-                )
+        name, low, cap = _N_RANGE[self.population]
+        if self.n < low:
+            raise InputError(f"{name} enumeration needs n >= {low}")
+        if self.n > cap:
+            raise CapabilityError(f"{name} enumeration capped at n={cap}")
+        top = self.n * (self.n - 1) // 2
+        if self.population == "all" and self.m is not None and not 0 <= self.m <= top:
+            raise InputError(f"m={self.m} impossible for n={self.n}")
 
     def key(self) -> str:
         parts = [self.population, f"n{self.n}"]
@@ -87,123 +82,104 @@ class EnumerationSpec:
         return ", ".join(bits)
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _keep(spec: EnumerationSpec, rows: list[int]) -> bool:
+    """The spec's connectivity and irregularity filters on a graph of the last size."""
+    if spec.connected_only and not rows_connected(rows):
+        return False
+    return not spec.irregular_only or len({r.bit_count() for r in rows}) > 1
 
 
-def _code_for_rows(rows: tuple[int, ...], n: int) -> str:
-    return to_graph6(Graph(n, canonical_rows(rows, n)))
+def _add_class(classes: dict[str, Rows], rows: list[int]) -> None:
+    canon = canonical_rows(tuple(rows), len(rows))
+    classes.setdefault(to_graph6(Graph(len(rows), canon)), canon)
 
 
-def _scan_chunk(args: tuple) -> set[str]:
-    """Worker: canonical codes of one residue class of the labelled space."""
-    n, m, connected, irregular, residue, step = args
-    pairs = _pairs(n)
-    codes: set[str] = set()
-    min_edges = n - 1 if connected else 0
-    if m is not None:
-        source = combinations(range(len(pairs)), m)
-        for idx, combo in enumerate(source):
-            if idx % step != residue:
-                continue
-            rows = [0] * n
-            for e in combo:
-                u, v = pairs[e]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            if connected and not rows_connected(rows):
-                continue
-            if irregular and len({r.bit_count() for r in rows}) <= 1:
-                continue
-            codes.add(_code_for_rows(tuple(rows), n))
-        return codes
-    for mask in range(residue, 1 << len(pairs), step):
-        if mask.bit_count() < min_edges:
-            continue
-        rows = [0] * n
-        rest = mask
-        while rest:
-            low = rest & -rest
-            u, v = pairs[low.bit_length() - 1]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            rest ^= low
-        if connected and not rows_connected(rows):
-            continue
-        if irregular and len({r.bit_count() for r in rows}) <= 1:
-            continue
-        codes.add(_code_for_rows(tuple(rows), n))
-    return codes
+def _children(
+    parents: list[Rows], size: int, spec: EnumerationSpec, last: bool
+) -> dict[str, Rows]:
+    """Canonical children on ``size`` vertices of the representatives ``parents``.
 
-
-def _enumerate_all(spec: EnumerationSpec, workers: int) -> list[str]:
-    if spec.connected_only and spec.m is not None and spec.m < spec.n - 1:
-        return []
-    args = [
-        (spec.n, spec.m, spec.connected_only, spec.irregular_only, r, workers)
-        for r in range(workers)
-    ]
-    if workers == 1:
-        codes = _scan_chunk(args[0])
+    On the last size a fixed ``spec.m`` admits only masks of size m - m(parent),
+    and only the children that ``spec`` keeps are canonicalised.
+    """
+    if spec.population == "trees":
+        masks = [1 << v for v in range(size - 1)]
     else:
-        with Pool(workers) as pool:
-            codes = set().union(*pool.map(_scan_chunk, args))
-    return sorted(codes)
+        masks = range(1 << (size - 1))
+    bit = 1 << (size - 1)
+    classes: dict[str, Rows] = {}
+    for parent in parents:
+        need = None
+        if last and spec.m is not None:
+            need = spec.m - sum(r.bit_count() for r in parent) // 2
+        for mask in masks:
+            if need is not None and mask.bit_count() != need:
+                continue
+            rows = [*parent, mask]
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rows[low.bit_length() - 1] |= bit
+                rest ^= low
+            if last and not _keep(spec, rows):
+                continue
+            _add_class(classes, rows)
+    return classes
 
 
-def _tree_codes(n: int) -> list[str]:
-    reps: dict[str, tuple[int, ...]] = {}
-    single = (0,)
-    reps[_code_for_rows(single, 1)] = single
-    for size in range(2, n + 1):
-        grown: dict[str, tuple[int, ...]] = {}
-        for rows in reps.values():
-            for v in range(size - 1):
-                new_rows = list(rows) + [1 << v]
-                new_rows[v] |= 1 << (size - 1)
-                canon = canonical_rows(tuple(new_rows), size)
-                grown.setdefault(to_graph6(Graph(size, canon)), canon)
-        reps = grown
-    return sorted(reps)
+def _generate(spec: EnumerationSpec, workers: int) -> dict[str, Rows]:
+    """Code -> canonical rows of each class of ``spec``, population "all" or "trees".
+
+    The last size is split over ``workers`` processes.
+    """
+    if spec.n == 1:
+        return {to_graph6(Graph(1, (0,))): (0,)} if _keep(spec, [0]) else {}
+    reps: list[Rows] = [(0,)]
+    for size in range(2, spec.n):
+        reps = list(_children(reps, size, spec, False).values())
+    workers = min(workers, len(reps))
+    if workers == 1:
+        return _children(reps, spec.n, spec, True)
+    chunks = [(reps[i::workers], spec.n, spec, True) for i in range(workers)]
+    with Pool(workers) as pool:
+        parts = pool.starmap(_children, chunks)
+    return {code: rows for part in parts for code, rows in part.items()}
 
 
-def _unicyclic_codes(n: int) -> list[str]:
-    codes: set[str] = set()
-    for tree_code in _tree_codes(n):
-        tree = parse_graph6(tree_code)
+def _unicyclic(spec: EnumerationSpec, workers: int) -> dict[str, Rows]:
+    """Every tree on ``spec.n`` vertices plus one chord, filtered by ``spec``."""
+    n = spec.n
+    classes: dict[str, Rows] = {}
+    if spec.m not in (None, n):
+        return classes
+    for tree in _generate(EnumerationSpec(n=n, population="trees"), workers).values():
         for u in range(n):
             for v in range(u + 1, n):
-                if tree.has_edge(u, v):
+                if tree[u] >> v & 1:
                     continue
-                g = tree.with_edge(u, v)
-                codes.add(_code_for_rows(g.rows, n))
-    return sorted(codes)
+                rows = list(tree)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                if _keep(spec, rows):
+                    _add_class(classes, rows)
+    return classes
 
 
-def _filter_codes(codes: list[str], spec: EnumerationSpec) -> list[str]:
-    if spec.m is None and not spec.irregular_only:
-        return codes
-    out = []
-    for code in codes:
-        g = parse_graph6(code)
-        if spec.m is not None and g.m != spec.m:
-            continue
-        if spec.irregular_only and len(set(g.degrees())) <= 1:
-            continue
-        out.append(code)
-    return out
+def _validate(spec: EnumerationSpec, workers: int) -> None:
+    spec.validate()
+    if workers < 1:
+        raise InputError("workers must be positive")
+
+
+def _codes(spec: EnumerationSpec, workers: int) -> list[str]:
+    grow = _unicyclic if spec.population == "unicyclic" else _generate
+    return sorted(grow(spec, workers))
 
 
 def enumerate_codes(spec: EnumerationSpec, workers: int = 1) -> list[str]:
     """Sorted canonical codes of every isomorphism class matching ``spec``."""
-    spec.validate()
-    if workers < 1:
-        raise InputError("workers must be positive")
-    if spec.population == "trees":
-        return _filter_codes(_tree_codes(spec.n), spec)
-    if spec.population == "unicyclic":
-        return _filter_codes(_unicyclic_codes(spec.n), spec)
-    return _enumerate_all(spec, workers)
+    _validate(spec, workers)
+    return _codes(spec, workers)
 
 
 def enumerate_graphs(spec: EnumerationSpec, workers: int = 1) -> list[Graph]:
@@ -230,23 +206,43 @@ def _cache_path(spec: EnumerationSpec, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"{spec.key()}-v{__version__}.g6")
 
 
+def _read_cache(path: str, n: int) -> Optional[list[str]]:
+    """The codes in ``path``, or None unless it is a sorted list of n-vertex codes.
+
+    O(1) per line: the size byte, the length and strict increase, no parsing.
+    """
+    size, width = chr(n + 63), 1 + (n * (n - 1) // 2 + 5) // 6
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            codes = fh.read().split()
+    except UnicodeDecodeError:
+        return None
+    for prev, code in zip([""] + codes, codes):
+        if len(code) != width or code[0] != size or code <= prev:
+            return None
+    return codes
+
+
 def enumerate_codes_cached(
     spec: EnumerationSpec, workers: int = 1, cache_dir: Optional[str] = None
 ) -> list[str]:
     """Like :func:`enumerate_codes` with an optional directory cache.
 
     The cache key includes the package version, so stale files are ignored
-    after upgrades.  With no directory configured this is a plain call.
+    after upgrades; a file failing :func:`_read_cache` is logged, recomputed
+    and rewritten.  With no directory configured this is a plain call.
     """
+    _validate(spec, workers)
     cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     if not cache_dir:
-        return enumerate_codes(spec, workers)
-    spec.validate()
+        return _codes(spec, workers)
     path = _cache_path(spec, cache_dir)
     if os.path.exists(path):
-        with open(path, "r", encoding="ascii") as fh:
-            return [line.strip() for line in fh if line.strip()]
-    codes = enumerate_codes(spec, workers)
+        codes = _read_cache(path, spec.n)
+        if codes is not None:
+            return codes
+        logger.warning("cache file %s is not a sorted list of codes; recomputing", path)
+    codes = _codes(spec, workers)
     os.makedirs(cache_dir, exist_ok=True)
     # a private temporary name per writer, so concurrent writers cannot clash
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)

@@ -80,8 +80,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def rows_connected(rows: Sequence[int]) -> bool:
     """True iff every vertex of the adjacency bitmasks ``rows`` is reachable from 0.
 
-    Takes bare rows so the labelled enumeration scan can test each candidate
-    without building a :class:`Graph`.
+    Takes bare rows so enumeration can test each candidate without building a
+    :class:`Graph`.
     """
     n = len(rows)
     if n <= 1:

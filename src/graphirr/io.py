@@ -52,6 +52,8 @@ def parse_graph6(text: str) -> Graph:
     if data[0] == 63:
         if len(data) < 4:
             raise InputError("truncated graph6 size field")
+        if data[1] == 63:  # the 8-byte size form, used only for larger n
+            raise CapabilityError(f"graph6 reader supports n <= {_G6_MAX_N}")
         n = data[1] << 12 | data[2] << 6 | data[3]
         body = data[4:]
     else:

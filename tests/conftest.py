@@ -103,7 +103,7 @@ def connected_upto6(all_graphs_upto6) -> dict[int, list[Graph]]:
 
 @pytest.fixture(scope="session")
 def connected_7() -> list[Graph]:
-    """All 853 connected classes on 7 vertices; the expensive shared fixture."""
+    """All 853 connected classes on 7 vertices, built once per test run."""
     codes = enumerate_codes(EnumerationSpec(n=7, connected_only=True))
     return [parse_graph6(c) for c in codes]
 

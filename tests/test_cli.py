@@ -67,6 +67,13 @@ class TestCompute:
         code, _, err = run(capsys, "compute", str(p))
         assert code == 3 and "capability error" in err
 
+    def test_eight_byte_graph6_on_stdin_exit_3(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("~~?@????\n"))
+        code, _, err = run(capsys, "compute", "-")
+        assert code == 3 and "258047" in err
+
     def test_stdin_dash(self, capsys, monkeypatch):
         import io
 

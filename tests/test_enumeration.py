@@ -1,6 +1,8 @@
+import logging
 import math
 import os
 import stat
+from functools import lru_cache
 from itertools import permutations
 
 import networkx as nx
@@ -20,18 +22,25 @@ from graphirr.errors import CapabilityError, InputError
 from graphirr.graph import from_edge_list, is_connected
 from graphirr.io import parse_graph6
 
-# Known class counts, used as independent oracles.
-CONNECTED_BY_N = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-ALL_BY_N = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+# Known class counts, used as independent oracles (OEIS A001349, A000088).
+CONNECTED_BY_N = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+ALL_BY_N = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 TREES_BY_N = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 UNICYCLIC_BY_N = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657}
 
 
 def burnside_graph_count(n: int, m: int) -> int:
     """Class count of (n, m)-graphs by averaging fixed subsets over S_n."""
+    return _burnside_counts(n)[m]
+
+
+@lru_cache(maxsize=None)
+def _burnside_counts(n: int) -> tuple[int, ...]:
+    """Class counts of (n, m)-graphs for every m, one pass over S_n."""
+    top = n * (n - 1) // 2
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     idx = {p: k for k, p in enumerate(pairs)}
-    total = 0
+    totals = [0] * (top + 1)
     for perm in permutations(range(n)):
         seen = [False] * len(pairs)
         lengths = []
@@ -46,26 +55,67 @@ def burnside_graph_count(n: int, m: int) -> int:
                 a2, b2 = perm[a], perm[b]
                 cur = idx[(min(a2, b2), max(a2, b2))]
             lengths.append(length)
-        poly = [0] * (m + 1)
+        poly = [0] * (top + 1)
         poly[0] = 1
         for length in lengths:
-            if length <= m:
-                for d in range(m - length, -1, -1):
-                    if poly[d]:
-                        poly[d + length] += poly[d]
-        total += poly[m]
-    return total // math.factorial(n)
+            for d in range(top - length, -1, -1):
+                if poly[d]:
+                    poly[d + length] += poly[d]
+        totals = [t + p for t, p in zip(totals, poly)]
+    return tuple(t // math.factorial(n) for t in totals)
+
+
+@pytest.fixture(scope="module")
+def all_n8() -> list[str]:
+    """The whole n=8 population, built once for every test that reads it."""
+    return enumerate_codes(EnumerationSpec(n=8))
+
+
+@pytest.fixture(scope="module")
+def atlas_codes() -> dict[int, list[str]]:
+    """Canonical codes of networkx's graph atlas (every graph on <= 7 vertices)."""
+    by_n: dict[int, list[str]] = {}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes():
+            g = from_edge_list(h.number_of_nodes(), list(h.edges()))
+            by_n.setdefault(g.n, []).append(canonical_code(g))
+    return by_n
 
 
 class TestCounts:
-    @pytest.mark.parametrize("n", sorted(CONNECTED_BY_N))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_connected_counts(self, n):
         codes = enumerate_codes(EnumerationSpec(n=n, connected_only=True))
         assert len(codes) == CONNECTED_BY_N[n]
 
-    @pytest.mark.parametrize("n", sorted(ALL_BY_N))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_all_counts(self, n):
         assert len(enumerate_codes(EnumerationSpec(n=n))) == ALL_BY_N[n]
+
+    @pytest.mark.slow
+    def test_n8_counts(self, all_n8):
+        assert len(all_n8) == ALL_BY_N[8]
+        connected = [c for c in all_n8 if is_connected(parse_graph6(c))]
+        assert len(connected) == CONNECTED_BY_N[8]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_classes_as_graph_atlas(self, n, atlas_codes):
+        assert enumerate_codes(EnumerationSpec(n=n)) == sorted(atlas_codes[n])
+
+    @pytest.mark.parametrize(
+        "n, m, connected, count",
+        [
+            (1, 0, False, 1),
+            (1, 0, True, 1),
+            (2, 0, False, 1),
+            (2, 0, True, 0),
+            (2, 1, False, 1),
+            (2, 1, True, 1),
+        ],
+    )
+    def test_one_and_two_vertices(self, n, m, connected, count):
+        spec = EnumerationSpec(n=n, m=m, connected_only=connected)
+        assert len(enumerate_codes(spec)) == count
 
     def test_n3_connected_classes(self):
         graphs = enumerate_graphs(EnumerationSpec(n=3, connected_only=True))
@@ -76,6 +126,11 @@ class TestCounts:
     def test_burnside_cross_check_n6(self, m):
         codes = enumerate_codes(EnumerationSpec(n=6, m=m))
         assert len(codes) == burnside_graph_count(6, m)
+
+    @pytest.mark.parametrize("m", range(22))
+    def test_burnside_cross_check_n7(self, m):
+        codes = enumerate_codes(EnumerationSpec(n=7, m=m))
+        assert len(codes) == burnside_graph_count(7, m)
 
     def test_gamma_6_12(self):
         codes = enumerate_codes(EnumerationSpec(n=6, m=12, connected_only=True))
@@ -144,11 +199,12 @@ class TestUnicyclic:
 class TestCrossPopulationAgreement:
     @pytest.mark.slow
     def test_spanning_slice_equals_trees_n8(self):
-        # two unrelated generation routes: subset scan vs leaf augmentation
-        scan = enumerate_codes(EnumerationSpec(n=8, m=7, connected_only=True))
+        # two routes through the generator: connected 7-edge children of the
+        # whole n=7 population vs single-leaf children of the n=7 trees
+        spanning = enumerate_codes(EnumerationSpec(n=8, m=7, connected_only=True))
         grown = enumerate_codes(EnumerationSpec(n=8, population="trees"))
-        assert scan == grown
-        assert len(scan) == 23
+        assert spanning == grown
+        assert len(spanning) == 23
 
     def test_dense_slice_n8(self):
         # K_8 minus two edges: the pair is disjoint or shares an endpoint
@@ -163,10 +219,20 @@ class TestDeterminismAndFilters:
         assert codes == sorted(codes)
 
     def test_workers_do_not_change_output(self):
-        spec = EnumerationSpec(n=6, m=10, connected_only=True)
-        assert enumerate_codes(spec, workers=1) == enumerate_codes(spec, workers=3)
-        spec = EnumerationSpec(n=5)
-        assert enumerate_codes(spec, workers=1) == enumerate_codes(spec, workers=2)
+        for spec, workers in [
+            (EnumerationSpec(n=6, m=10, connected_only=True), 3),
+            (EnumerationSpec(n=5), 2),
+            (EnumerationSpec(n=7, population="trees"), 2),
+            (EnumerationSpec(n=6, population="unicyclic"), 2),
+            # one vertex, and more workers than last-size representatives
+            (EnumerationSpec(n=1), 3),
+            (EnumerationSpec(n=1, m=0, connected_only=True), 3),
+            (EnumerationSpec(n=2), 3),
+            (EnumerationSpec(n=2, connected_only=True), 3),
+            (EnumerationSpec(n=2, m=0), 3),
+            (EnumerationSpec(n=2, m=1, connected_only=True), 3),
+        ]:
+            assert enumerate_codes(spec, workers=1) == enumerate_codes(spec, workers)
 
     def test_filters_respected(self):
         for g in enumerate_graphs(
@@ -219,3 +285,29 @@ class TestCache:
     def test_no_cache_dir_is_plain(self):
         spec = EnumerationSpec(n=4)
         assert enumerate_codes_cached(spec) == enumerate_codes(spec)
+
+    def test_workers_checked_on_a_warm_cache(self, tmp_path):
+        spec = EnumerationSpec(n=4)
+        enumerate_codes_cached(spec, cache_dir=str(tmp_path))
+        with pytest.raises(InputError):
+            enumerate_codes_cached(spec, workers=0, cache_dir=str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda codes, other: "\n".join(codes)[:-2],  # truncated mid-line
+            lambda codes, other: "\n".join(other) + "\n",  # codes of another n
+            lambda codes, other: "\n".join(reversed(codes)) + "\n",  # unsorted
+        ],
+        ids=["truncated", "other-n", "unsorted"],
+    )
+    def test_damaged_file_is_recomputed(self, tmp_path, caplog, damage):
+        spec = EnumerationSpec(n=5, connected_only=True)
+        codes = enumerate_codes(spec)
+        other = enumerate_codes(EnumerationSpec(n=6, connected_only=True))
+        path = tmp_path / f"{spec.key()}-v{__version__}.g6"
+        path.write_text(damage(codes, other))
+        with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
+            assert enumerate_codes_cached(spec, cache_dir=str(tmp_path)) == codes
+        assert "recomputing" in caplog.text
+        assert path.read_text().split() == codes

@@ -71,6 +71,11 @@ class TestGraph6:
         with pytest.raises(InputError):
             parse_graph6("")
 
+    def test_eight_byte_size_form_refused(self):
+        # "~~" then 36 bits of n = 2**24: refused by the cap, not misread
+        with pytest.raises(CapabilityError, match="n <= 258047"):
+            parse_graph6("~~?@????")
+
 
 class TestEdgeList:
     @settings(max_examples=100, deadline=None)
