@@ -15,6 +15,8 @@ from .enumeration import (
     enumerate_codes,
     enumerate_codes_cached,
     enumerate_graphs,
+    enumerate_range,
+    enumerate_range_cached,
     enumerate_trees,
     enumerate_unicyclic,
 )

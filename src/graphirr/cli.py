@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
-from .enumeration import EnumerationSpec, enumerate_codes_cached
+from .enumeration import EnumerationSpec, enumerate_codes_cached, range_specs
 from .errors import CapabilityError, InputError
 from .families import (
     complete,
@@ -260,20 +260,6 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _population_specs(args: argparse.Namespace) -> list[EnumerationSpec]:
-    if getattr(args, "population", "graphs") == "trees":
-        return [EnumerationSpec(n=k, population="trees") for k in range(2, args.max_n + 1)]
-    if getattr(args, "population", "graphs") == "unicyclic":
-        return [
-            EnumerationSpec(n=k, population="unicyclic")
-            for k in range(3, args.max_n + 1)
-        ]
-    connected = getattr(args, "connected", True)
-    return [
-        EnumerationSpec(n=k, connected_only=connected) for k in range(1, args.max_n + 1)
-    ]
-
-
 def _emit_reports(reports, cfg: RunConfig) -> int:
     for rep in reports:
         print(
@@ -306,7 +292,10 @@ def _emit_reports(reports, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    specs = _population_specs(args)
+    if args.population == "graphs":
+        specs = range_specs("all", args.max_n, connected_only=args.connected)
+    else:
+        specs = range_specs(args.population, args.max_n)
     cfg = RunConfig.from_args(args)
     if args.suite == "all":
         reports = run_all_suites(specs, workers=cfg.workers, cache_dir=cfg.cache_dir)
@@ -318,10 +307,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjectures(args: argparse.Namespace) -> int:
-    specs = [
-        EnumerationSpec(n=k, connected_only=not args.include_disconnected)
-        for k in range(1, args.max_n + 1)
-    ]
+    specs = range_specs("all", args.max_n, connected_only=not args.include_disconnected)
     cfg = RunConfig.from_args(args)
     reports = [
         check_deviation_conjecture(specs, workers=cfg.workers, cache_dir=cfg.cache_dir),

@@ -2,12 +2,16 @@
 
 Every population grows one vertex at a time: a child is a representative on
 ``size - 1`` vertices plus a new vertex joined to a neighbourhood mask, kept
-once per canonical graph6 code.  Every mask is tried for the whole range,
-single-vertex masks for trees; this reaches every class because deleting any
-vertex of a graph, or a leaf of a tree, leaves one of the smaller size.  The
-spec's edge count, connectivity and irregularity filter the last size only.
-Unicyclic graphs are trees plus one chord.  Output is sorted by canonical
-code, so it is identical for any worker count.
+once per canonical graph6 code.  The whole range grows from K1 by every mask,
+trees from K1 by single-vertex masks, and unicyclic graphs from C3 by
+single-vertex masks with the cycle C_size added at each size.  This reaches
+every class because deleting any vertex of a graph, or a leaf of a tree or of
+a unicyclic graph other than a cycle, leaves one of the smaller size.
+
+Specs that differ only in ``n`` form a family, served by one growth up to its
+largest ``n``: a smaller size keeps every representative and filters it by its
+spec after canonicalisation, the last size before.  Output is sorted by
+canonical code, so it is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
-from typing import Optional
+from typing import Optional, Sequence
 
 from .canon import Rows, canonical_rows
 from .errors import CapabilityError, InputError
@@ -34,6 +38,14 @@ _N_RANGE = {
     "all": ("whole-range", 1, MAX_N_ALL),
     "trees": ("tree", 2, MAX_N_TREES),
     "unicyclic": ("unicyclic", 3, MAX_N_UNICYCLIC),
+}
+# OEIS class counts for n = 1 up to the cap: A000088 (whole range), A001349
+# (connected), A000055 (trees), A001429 (unicyclic)
+_CLASS_COUNTS = {
+    "all": (1, 2, 4, 11, 34, 156, 1044, 12346),
+    "connected": (1, 1, 2, 6, 21, 112, 853, 11117),
+    "trees": (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551),
+    "unicyclic": (0, 0, 1, 2, 5, 13, 33, 89, 240, 657),
 }
 
 
@@ -82,8 +94,10 @@ class EnumerationSpec:
         return ", ".join(bits)
 
 
-def _keep(spec: EnumerationSpec, rows: list[int]) -> bool:
-    """The spec's connectivity and irregularity filters on a graph of the last size."""
+def _keep(spec: EnumerationSpec, rows: Sequence[int]) -> bool:
+    """Whether a graph of the spec's population has its edge count and passes its filters."""
+    if spec.m is not None and sum(r.bit_count() for r in rows) != 2 * spec.m:
+        return False
     if spec.connected_only and not rows_connected(rows):
         return False
     return not spec.irregular_only or len({r.bit_count() for r in rows}) > 1
@@ -94,6 +108,10 @@ def _add_class(classes: dict[str, Rows], rows: list[int]) -> None:
     classes.setdefault(to_graph6(Graph(len(rows), canon)), canon)
 
 
+def _cycle(size: int) -> list[int]:
+    return [1 << (v - 1) % size | 1 << (v + 1) % size for v in range(size)]
+
+
 def _children(
     parents: list[Rows], size: int, spec: EnumerationSpec, last: bool
 ) -> dict[str, Rows]:
@@ -102,10 +120,10 @@ def _children(
     On the last size a fixed ``spec.m`` admits only masks of size m - m(parent),
     and only the children that ``spec`` keeps are canonicalised.
     """
-    if spec.population == "trees":
-        masks = [1 << v for v in range(size - 1)]
-    else:
+    if spec.population == "all":
         masks = range(1 << (size - 1))
+    else:
+        masks = [1 << v for v in range(size - 1)]
     bit = 1 << (size - 1)
     classes: dict[str, Rows] = {}
     for parent in parents:
@@ -127,18 +145,10 @@ def _children(
     return classes
 
 
-def _generate(spec: EnumerationSpec, workers: int) -> dict[str, Rows]:
-    """Code -> canonical rows of each class of ``spec``, population "all" or "trees".
-
-    The last size is split over ``workers`` processes.
-    """
-    if spec.n == 1:
-        return {to_graph6(Graph(1, (0,))): (0,)} if _keep(spec, [0]) else {}
-    reps: list[Rows] = [(0,)]
-    for size in range(2, spec.n):
-        reps = list(_children(reps, size, spec, False).values())
+def _last_size(reps: list[Rows], spec: EnumerationSpec, workers: int) -> dict[str, Rows]:
+    """The children of ``reps`` on ``spec.n`` vertices, split over ``workers`` processes."""
     workers = min(workers, len(reps))
-    if workers == 1:
+    if workers <= 1:
         return _children(reps, spec.n, spec, True)
     chunks = [(reps[i::workers], spec.n, spec, True) for i in range(workers)]
     with Pool(workers) as pool:
@@ -146,40 +156,63 @@ def _generate(spec: EnumerationSpec, workers: int) -> dict[str, Rows]:
     return {code: rows for part in parts for code, rows in part.items()}
 
 
-def _unicyclic(spec: EnumerationSpec, workers: int) -> dict[str, Rows]:
-    """Every tree on ``spec.n`` vertices plus one chord, filtered by ``spec``."""
-    n = spec.n
-    classes: dict[str, Rows] = {}
-    if spec.m not in (None, n):
-        return classes
-    for tree in _generate(EnumerationSpec(n=n, population="trees"), workers).values():
-        for u in range(n):
-            for v in range(u + 1, n):
-                if tree[u] >> v & 1:
-                    continue
-                rows = list(tree)
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                if _keep(spec, rows):
-                    _add_class(classes, rows)
-    return classes
+def _grow(spec: EnumerationSpec, sizes: set[int], workers: int) -> dict[int, list[str]]:
+    """Sorted codes of ``spec`` with ``n`` set to each of ``sizes <= spec.n``, one growth."""
+    unicyclic = spec.population == "unicyclic"
+    classes: dict[str, Rows] = {} if unicyclic else {to_graph6(Graph(1, (0,))): (0,)}
+    out: dict[int, list[str]] = {}
+    for size in range(3 if unicyclic else 1, spec.n + 1):
+        if size > 1:
+            reps = list(classes.values())
+            if size == spec.n:
+                classes = _last_size(reps, spec, workers)
+            else:
+                classes = _children(reps, size, spec, False)
+        if unicyclic and (size < spec.n or _keep(spec, _cycle(size))):
+            _add_class(classes, _cycle(size))
+        if size in sizes:
+            out[size] = sorted(code for code, rows in classes.items() if _keep(spec, rows))
+    return out
 
 
-def _validate(spec: EnumerationSpec, workers: int) -> None:
-    spec.validate()
+def enumerate_range(
+    specs: Sequence[EnumerationSpec], workers: int = 1, cache_dir: Optional[str] = None
+) -> list[list[str]]:
+    """Sorted canonical codes per spec; specs that differ only in ``n`` share one growth.
+
+    With ``cache_dir`` each spec has its own file there.  A file that passes
+    :func:`_read_cache` is read, one that fails is logged, and only the specs
+    without a good file are grown and written.
+    """
+    specs = list(specs)
+    for spec in specs:
+        spec.validate()  # reject out-of-cap requests before any work
     if workers < 1:
         raise InputError("workers must be positive")
-
-
-def _codes(spec: EnumerationSpec, workers: int) -> list[str]:
-    grow = _unicyclic if spec.population == "unicyclic" else _generate
-    return sorted(grow(spec, workers))
+    found: dict[EnumerationSpec, list[str]] = {}
+    families: dict[EnumerationSpec, set[int]] = {}
+    for spec in specs:
+        codes = None
+        if cache_dir and os.path.exists(path := _cache_path(spec, cache_dir)):
+            codes = _read_cache(path, spec)
+            if codes is None:
+                logger.warning("cache file %s fails its checks; recomputing", path)
+        if codes is None:
+            families.setdefault(replace(spec, n=0), set()).add(spec.n)
+        else:
+            found[spec] = codes
+    for family, sizes in families.items():
+        for n, codes in _grow(replace(family, n=max(sizes)), sizes, workers).items():
+            spec = replace(family, n=n)
+            found[spec] = codes
+            if cache_dir:
+                _write_cache(spec, cache_dir, codes)
+    return [found[spec] for spec in specs]
 
 
 def enumerate_codes(spec: EnumerationSpec, workers: int = 1) -> list[str]:
     """Sorted canonical codes of every isomorphism class matching ``spec``."""
-    _validate(spec, workers)
-    return _codes(spec, workers)
+    return enumerate_range([spec], workers)[0]
 
 
 def enumerate_graphs(spec: EnumerationSpec, workers: int = 1) -> list[Graph]:
@@ -195,6 +228,19 @@ def enumerate_unicyclic(n: int) -> list[Graph]:
     return enumerate_graphs(EnumerationSpec(n=n, population="unicyclic"))
 
 
+def range_specs(
+    population: str, max_n: int, connected_only: bool = False
+) -> list[EnumerationSpec]:
+    """One spec per order from the population's smallest to ``max_n``; none is an error."""
+    name, low, _ = _N_RANGE[population]
+    if max_n < low:
+        raise InputError(f"{name} enumeration up to n={max_n} is empty: the smallest order is {low}")
+    return [
+        EnumerationSpec(n=k, connected_only=connected_only, population=population)
+        for k in range(low, max_n + 1)
+    ]
+
+
 # --- optional on-disk cache -------------------------------------------------
 
 CACHE_ENV = "GRAPHIRR_CACHE_DIR"
@@ -206,11 +252,13 @@ def _cache_path(spec: EnumerationSpec, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"{spec.key()}-v{__version__}.g6")
 
 
-def _read_cache(path: str, n: int) -> Optional[list[str]]:
-    """The codes in ``path``, or None unless it is a sorted list of n-vertex codes.
+def _read_cache(path: str, spec: EnumerationSpec) -> Optional[list[str]]:
+    """The codes in ``path``, or None unless it is a sorted list of ``spec``'s codes.
 
     O(1) per line: the size byte, the length and strict increase, no parsing.
+    Where the OEIS class count is known, the number of lines must equal it.
     """
+    n = spec.n
     size, width = chr(n + 63), 1 + (n * (n - 1) // 2 + 5) // 6
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -220,29 +268,13 @@ def _read_cache(path: str, n: int) -> Optional[list[str]]:
     for prev, code in zip([""] + codes, codes):
         if len(code) != width or code[0] != size or code <= prev:
             return None
-    return codes
+    if spec.m is not None or spec.irregular_only:
+        return codes
+    key = "connected" if spec.population == "all" and spec.connected_only else spec.population
+    return codes if len(codes) == _CLASS_COUNTS[key][n - 1] else None
 
 
-def enumerate_codes_cached(
-    spec: EnumerationSpec, workers: int = 1, cache_dir: Optional[str] = None
-) -> list[str]:
-    """Like :func:`enumerate_codes` with an optional directory cache.
-
-    The cache key includes the package version, so stale files are ignored
-    after upgrades; a file failing :func:`_read_cache` is logged, recomputed
-    and rewritten.  With no directory configured this is a plain call.
-    """
-    _validate(spec, workers)
-    cache_dir = cache_dir or os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return _codes(spec, workers)
-    path = _cache_path(spec, cache_dir)
-    if os.path.exists(path):
-        codes = _read_cache(path, spec.n)
-        if codes is not None:
-            return codes
-        logger.warning("cache file %s is not a sorted list of codes; recomputing", path)
-    codes = _codes(spec, workers)
+def _write_cache(spec: EnumerationSpec, cache_dir: str, codes: list[str]) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     # a private temporary name per writer, so concurrent writers cannot clash
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
@@ -250,11 +282,28 @@ def enumerate_codes_cached(
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write("\n".join(codes) + ("\n" if codes else ""))
         os.chmod(tmp, 0o666 & ~_umask())  # the mode open() would have given
-        os.replace(tmp, path)
+        os.replace(tmp, _cache_path(spec, cache_dir))
     except BaseException:
         os.unlink(tmp)
         raise
-    return codes
+
+
+def enumerate_range_cached(
+    specs: Sequence[EnumerationSpec], workers: int = 1, cache_dir: Optional[str] = None
+) -> list[list[str]]:
+    """:func:`enumerate_range` with ``cache_dir`` defaulting to ``$GRAPHIRR_CACHE_DIR``.
+
+    The cache key includes the package version, so stale files are ignored
+    after upgrades.  With no directory configured this is a plain call.
+    """
+    return enumerate_range(specs, workers, cache_dir or os.environ.get(CACHE_ENV))
+
+
+def enumerate_codes_cached(
+    spec: EnumerationSpec, workers: int = 1, cache_dir: Optional[str] = None
+) -> list[str]:
+    """Like :func:`enumerate_codes` with the cache of :func:`enumerate_range_cached`."""
+    return enumerate_range_cached([spec], workers, cache_dir)[0]
 
 
 def _umask() -> int:

@@ -48,6 +48,8 @@ def parse_graph6(text: str) -> Graph:
         raise InputError("empty graph6 string")
     data = [ord(c) - 63 for c in s]
     if any(b < 0 or b > 63 for b in data):
+        if len(s.split()) > 1:
+            raise InputError("input holds more than one graph6 code; give one graph")
         raise InputError("graph6 string contains bytes outside 63..126")
     if data[0] == 63:
         if len(data) < 4:

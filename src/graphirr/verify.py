@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .canon import canonical_code
-from .enumeration import EnumerationSpec, enumerate_codes_cached
+from .enumeration import EnumerationSpec, enumerate_codes_cached, enumerate_range_cached
 from .errors import InputError
 from .families import complete_split
 from .graph import Graph
@@ -150,15 +150,9 @@ def _materialise(
         population = [population]
     population = list(population)
     if population and isinstance(population[0], EnumerationSpec):
-        for spec in population:
-            spec.validate()  # reject out-of-cap requests before any work
-        pairs: Pairs = []
-        descs = []
-        for spec in population:
-            codes = enumerate_codes_cached(spec, workers=workers, cache_dir=cache_dir)
-            pairs.extend((c, context(parse_graph6(c))) for c in codes)
-            descs.append(spec.describe())
-        return pairs, "; ".join(descs)
+        lists = enumerate_range_cached(population, workers=workers, cache_dir=cache_dir)
+        pairs = [(c, context(parse_graph6(c))) for codes in lists for c in codes]
+        return pairs, "; ".join(spec.describe() for spec in population)
     graphs = list(population)
     coded = sorted(((canonical_code(g), g) for g in graphs), key=lambda item: item[0])
     return [(c, context(g)) for c, g in coded], f"explicit list of {len(graphs)} graphs"

@@ -8,7 +8,7 @@ import numpy
 import pytest
 from hypothesis import strategies as st
 
-from graphirr.enumeration import EnumerationSpec, enumerate_codes
+from graphirr.enumeration import EnumerationSpec, enumerate_codes, enumerate_range, range_specs
 from graphirr.graph import Graph, degree_stats, from_edge_list, is_connected
 from graphirr.io import parse_graph6
 
@@ -84,13 +84,16 @@ def spectral_radius_numpy(g: Graph) -> float:
 # --- session-scoped populations ----------------------------------------------
 
 
+def _by_n(specs: list[EnumerationSpec]) -> dict[int, list[Graph]]:
+    """Each spec's graphs keyed by its n, from one range call."""
+    lists = enumerate_range(specs)
+    return {s.n: [parse_graph6(c) for c in codes] for s, codes in zip(specs, lists)}
+
+
 @pytest.fixture(scope="session")
 def all_graphs_upto6() -> dict[int, list[Graph]]:
     """Every isomorphism class on 1..6 vertices, disconnected included."""
-    return {
-        n: [parse_graph6(c) for c in enumerate_codes(EnumerationSpec(n=n))]
-        for n in range(1, 7)
-    }
+    return _by_n(range_specs("all", 6))
 
 
 @pytest.fixture(scope="session")
@@ -110,21 +113,9 @@ def connected_7() -> list[Graph]:
 
 @pytest.fixture(scope="session")
 def trees_upto10() -> dict[int, list[Graph]]:
-    return {
-        n: [
-            parse_graph6(c)
-            for c in enumerate_codes(EnumerationSpec(n=n, population="trees"))
-        ]
-        for n in range(2, 11)
-    }
+    return _by_n(range_specs("trees", 10))
 
 
 @pytest.fixture(scope="session")
 def unicyclic_upto9() -> dict[int, list[Graph]]:
-    return {
-        n: [
-            parse_graph6(c)
-            for c in enumerate_codes(EnumerationSpec(n=n, population="unicyclic"))
-        ]
-        for n in range(3, 10)
-    }
+    return _by_n(range_specs("unicyclic", 9))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from graphirr.canon import canonical_code
 from graphirr.cli import main
 from graphirr.families import named, wheel
@@ -73,6 +74,13 @@ class TestCompute:
         monkeypatch.setattr("sys.stdin", io.StringIO("~~?@????\n"))
         code, _, err = run(capsys, "compute", "-")
         assert code == 3 and "258047" in err
+
+    def test_two_graph6_codes_on_stdin_exit_2(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\nC~\n"))
+        code, _, err = run(capsys, "compute", "-")
+        assert code == 2 and "more than one graph6 code" in err
 
     def test_stdin_dash(self, capsys, monkeypatch):
         import io
@@ -193,6 +201,26 @@ class TestVerify:
     def test_cap_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bounds", "--max-n", "20")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv, low",
+        [
+            (["verify", "--max-n", "0"], 1),
+            (["verify", "--max-n", "-3"], 1),
+            (["verify", "--population", "trees", "--max-n", "1"], 2),
+            (["verify", "--population", "unicyclic", "--max-n", "2"], 3),
+            (["conjectures", "--max-n", "0"], 1),
+        ],
+        ids=["graphs", "graphs-negative", "trees", "unicyclic", "conjectures"],
+    )
+    def test_empty_range_exit_2(self, capsys, monkeypatch, argv, low):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an empty range reached enumeration")
+
+        monkeypatch.setattr("graphirr.verify.enumerate_range_cached", no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and f"the smallest order is {low}" in err
+        assert "checked=" not in out
 
 
 class TestConjecturesCmd:

@@ -8,15 +8,18 @@ from itertools import permutations
 import networkx as nx
 import pytest
 
-from graphirr import __version__
+from graphirr import __version__, enumeration
 from graphirr.canon import canonical_code
 from graphirr.enumeration import (
     EnumerationSpec,
     enumerate_codes,
     enumerate_codes_cached,
     enumerate_graphs,
+    enumerate_range,
+    enumerate_range_cached,
     enumerate_trees,
     enumerate_unicyclic,
+    range_specs,
 )
 from graphirr.errors import CapabilityError, InputError
 from graphirr.graph import from_edge_list, is_connected
@@ -63,6 +66,19 @@ def _burnside_counts(n: int) -> tuple[int, ...]:
                     poly[d + length] += poly[d]
         totals = [t + p for t, p in zip(totals, poly)]
     return tuple(t // math.factorial(n) for t in totals)
+
+
+def count_canonicalisations(monkeypatch) -> list[int]:
+    """A one-item list counting the calls through ``enumeration.canonical_rows``."""
+    calls = [0]
+    real = enumeration.canonical_rows
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "canonical_rows", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +212,81 @@ class TestUnicyclic:
             enumerate_unicyclic(2)
 
 
+class TestRange:
+    @pytest.mark.parametrize(
+        "population, max_n, connected, calls",
+        [("trees", 12, False, 4394), ("unicyclic", 10, False, 3225), ("all", 6, True, 1028)],
+    )
+    def test_one_growth_serves_the_range(self, monkeypatch, population, max_n, connected, calls):
+        specs = range_specs(population, max_n, connected_only=connected)
+        counted = count_canonicalisations(monkeypatch)
+        lists = enumerate_range(specs)
+        assert counted[0] == calls
+        oracle = {"trees": TREES_BY_N, "unicyclic": UNICYCLIC_BY_N, "all": CONNECTED_BY_N}
+        assert [len(codes) for codes in lists] == [oracle[population][s.n] for s in specs]
+
+    @pytest.mark.parametrize(
+        "fields, max_n",
+        [
+            ({}, 6),
+            ({"connected_only": True}, 6),
+            ({"irregular_only": True}, 6),
+            ({"connected_only": True, "irregular_only": True}, 6),
+            ({"m": 5}, 6),
+            ({"m": 6, "connected_only": True, "irregular_only": True}, 6),
+            ({"population": "trees"}, 9),
+            ({"population": "trees", "irregular_only": True}, 9),
+            ({"population": "unicyclic"}, 8),
+            ({"population": "unicyclic", "connected_only": True}, 8),
+            ({"population": "unicyclic", "irregular_only": True}, 8),
+            # m = n at n=6 and m = n + 1 at n=5
+            ({"population": "unicyclic", "m": 6}, 8),
+            ({"population": "unicyclic", "m": 6, "irregular_only": True}, 8),
+        ],
+    )
+    def test_range_equals_each_spec_alone(self, fields, max_n):
+        low = {"all": 1, "trees": 2, "unicyclic": 3}[fields.get("population", "all")]
+        specs = [EnumerationSpec(n=n, **fields) for n in range(low, max_n + 1)]
+        specs = [s for s in specs if s.m is None or s.m <= s.n * (s.n - 1) // 2]
+        lists = enumerate_range(specs)
+        assert lists == [enumerate_codes(s) for s in specs]
+        assert enumerate_range(specs, workers=3) == lists
+
+    def test_lists_follow_the_input_order(self):
+        specs = [
+            EnumerationSpec(n=5),
+            EnumerationSpec(n=4, population="trees"),
+            EnumerationSpec(n=3),
+            EnumerationSpec(n=5),
+            EnumerationSpec(n=4, population="unicyclic"),
+        ]
+        assert enumerate_range(specs) == [enumerate_codes(s) for s in specs]
+
+    def test_only_missing_levels_grow(self, tmp_path, monkeypatch):
+        specs = range_specs("trees", 10)
+        single, ranged = tmp_path / "single", tmp_path / "range"
+        expected = [enumerate_codes_cached(s, cache_dir=str(single)) for s in specs]
+        ranged.mkdir()
+        kept = {}
+        for n in (5, 10):
+            name = f"{EnumerationSpec(n=n, population='trees').key()}-v{__version__}.g6"
+            (ranged / name).write_bytes((single / name).read_bytes())
+            kept[name] = (ranged / name).stat().st_ino
+        counted = count_canonicalisations(monkeypatch)
+        enumerate_range(specs[:-1])  # one growth up to n=9, the largest missing n
+        to_nine, counted[0] = counted[0], 0
+        assert enumerate_range_cached(specs, cache_dir=str(ranged)) == expected
+        assert counted[0] == to_nine
+        assert {name: (ranged / name).stat().st_ino for name in kept} == kept
+        assert sorted(p.name for p in ranged.iterdir()) == sorted(p.name for p in single.iterdir())
+        for path in single.iterdir():
+            assert (ranged / path.name).read_bytes() == path.read_bytes()
+
+    def test_empty_range_refused(self):
+        with pytest.raises(InputError, match="smallest order is 3"):
+            range_specs("unicyclic", 2)
+
+
 class TestCrossPopulationAgreement:
     @pytest.mark.slow
     def test_spanning_slice_equals_trees_n8(self):
@@ -311,3 +402,33 @@ class TestCache:
             assert enumerate_codes_cached(spec, cache_dir=str(tmp_path)) == codes
         assert "recomputing" in caplog.text
         assert path.read_text().split() == codes
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnumerationSpec(n=10, population="trees"),
+            EnumerationSpec(n=8, population="unicyclic"),
+            EnumerationSpec(n=6, connected_only=True),
+            EnumerationSpec(n=5),
+        ],
+        ids=lambda spec: spec.key(),
+    )
+    def test_file_cut_at_a_line_boundary_is_recomputed(self, tmp_path, caplog, spec):
+        codes = enumerate_codes(spec)
+        path = tmp_path / f"{spec.key()}-v{__version__}.g6"
+        path.write_text("\n".join(codes[:-1]) + "\n")
+        with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
+            assert enumerate_codes_cached(spec, cache_dir=str(tmp_path)) == codes
+        assert "recomputing" in caplog.text
+        assert path.read_text().split() == codes
+
+    def test_known_counts_match_the_oracles(self):
+        for key, oracle in [
+            ("all", ALL_BY_N),
+            ("connected", CONNECTED_BY_N),
+            ("trees", TREES_BY_N),
+            ("unicyclic", UNICYCLIC_BY_N),
+        ]:
+            table = enumeration._CLASS_COUNTS[key]
+            assert [table[n - 1] for n in oracle] == list(oracle.values())
+            assert len(table) == max(oracle)  # every n up to the population's cap

@@ -104,13 +104,13 @@ class TestSinglePass:
         assert sorted(seen) == sorted(canonical_code(g) for g in graphs)
 
     def test_elapsed_times_suite_evaluation_only(self, monkeypatch):
-        real = verify.enumerate_codes_cached
+        real = verify.enumerate_range_cached
 
         def slow(*args, **kwargs):
             time.sleep(0.2)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "enumerate_codes_cached", slow)
+        monkeypatch.setattr(verify, "enumerate_range_cached", slow)
         spec = EnumerationSpec(n=4, connected_only=True)
         assert run_suite(spec, "bounds").elapsed < 0.2
         assert all(rep.elapsed < 0.2 for rep in run_all_suites(spec))
