@@ -55,7 +55,6 @@ from .measures import (
     BoundRecord,
     MeasureSet,
     bound_report,
-    centered_sequence_bound,
     cyclic_formulas,
     first_zagreb,
     measure_set,

@@ -107,7 +107,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if cls.is_connected and not cls.is_regular and g.n >= 2:
         params = two_walk_params(g, ctx)
         if params is not None:
-            ident = variance_spectral_identity(g, ctx)
+            ident = variance_spectral_identity(g, ctx, params)
             spectral = (params, ident)
 
     if args.json:

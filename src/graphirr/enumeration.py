@@ -39,6 +39,8 @@ _N_RANGE = {
     "trees": ("tree", 2, MAX_N_TREES),
     "unicyclic": ("unicyclic", 3, MAX_N_UNICYCLIC),
 }
+# population -> m - n for every graph of it; "all" has no fixed edge count
+_M_MINUS_N = {"trees": -1, "unicyclic": 0}
 # OEIS class counts for n = 1 up to the cap: A000088 (whole range), A001349
 # (connected), A000055 (trees), A001429 (unicyclic)
 _CLASS_COUNTS = {
@@ -193,7 +195,10 @@ def enumerate_range(
     families: dict[EnumerationSpec, set[int]] = {}
     for spec in specs:
         codes = None
-        if cache_dir and os.path.exists(path := _cache_path(spec, cache_dir)):
+        offset = _M_MINUS_N.get(spec.population)
+        if spec.m is not None and offset is not None and spec.m != spec.n + offset:
+            codes = []  # no tree or unicyclic graph has this m: nothing to grow
+        elif cache_dir and os.path.exists(path := _cache_path(spec, cache_dir)):
             codes = _read_cache(path, spec)
             if codes is None:
                 logger.warning("cache file %s fails its checks; recomputing", path)

@@ -9,13 +9,20 @@ measures:
 * ``ird``   -- harmonic-mean-weighted degree gap 2*Nmax*Nmin/(Nmax+Nmin)*(D-d)
 * ``irr``   -- (n/2)*(D-d)
 * ``omega`` -- var/s, defined only for irregular graphs
+
+Each of them, every bound of ``_BOUNDS`` and every closed form here is a
+function of the degree multiset and connectivity alone, so graphs that share
+those share a :class:`GraphContext` in everything but ``g`` and the labelled
+``stats.degrees``; ``verify`` evaluates them once per such degree profile.
+The two-walk fit in ``spectral`` reads neighbour-degree sums and is the only
+check made per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import InputError
 from .graph import Classification, DegreeStats, Graph, classify, degree_stats
@@ -33,7 +40,11 @@ class MeasureSet:
 
 @dataclass(frozen=True)
 class GraphContext:
-    """Shared per-graph data, built once per graph and read by every suite."""
+    """A graph's degree statistics, classification and measures, read by every suite.
+
+    ``verify`` builds one per degree profile and shares it among the graphs
+    of the profile, whose fields agree in all but ``g`` and ``stats.degrees``.
+    """
 
     g: Graph
     stats: DegreeStats
@@ -116,28 +127,6 @@ def variance_decomposition(g: Graph) -> VarianceDecomposition:
     if ctx.ms.var > bound:
         raise AssertionError("variance exceeded its product bound")
     return VarianceDecomposition(product_bound=bound, is_exact=ctx.ms.var == bound)
-
-
-def centered_sequence_bound(
-    a: Sequence[Fraction], x: Sequence[Fraction]
-) -> bool:
-    """Check |sum a_i x_i| <= (max a - min a)/2 for zero-sum, unit-L1 ``x``.
-
-    Returns whether the bound is attained exactly.
-    """
-    if len(a) != len(x) or not a:
-        raise InputError("sequences must be non-empty and of equal length")
-    xs = [Fraction(v) for v in x]
-    if sum(xs) != 0:
-        raise InputError("x must sum to zero")
-    if sum(abs(v) for v in xs) != 1:
-        raise InputError("x must have unit absolute sum")
-    vals = [Fraction(v) for v in a]
-    lhs = abs(sum(ai * xi for ai, xi in zip(vals, xs)))
-    rhs = Fraction(max(vals) - min(vals), 2)
-    if lhs > rhs:
-        raise AssertionError("centered sequence bound failed")
-    return lhs == rhs
 
 
 # --- the inequality suite -------------------------------------------------

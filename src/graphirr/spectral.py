@@ -47,25 +47,38 @@ class TwoWalkParams:
 def two_walk_params(
     g: Graph, ctx: Optional[GraphContext] = None
 ) -> Optional[TwoWalkParams]:
-    """Fit S(u) = a*d(u) + b over all vertices; None when no single fit exists."""
+    """Fit S(u) = a*d(u) + b over all vertices; None when no single fit exists.
+
+    ``ctx`` may be the context of any graph with g's degree multiset and
+    connectivity: only its degree-derived fields are read.  The fit is
+    decided in integers.
+    """
     ctx = ctx if ctx is not None else context(g)
     st = ctx.stats
     if not ctx.cls.is_connected:
         raise InputError("two-walk detection needs a connected graph")
     if st.max_degree == st.min_degree:
         raise InputError("two-walk parameters are not unique for regular graphs")
-    degs = st.degrees
-    sums = [sum(degs[u] for u in g.neighbors(v)) for v in range(g.n)]
+    degs = g.degrees()
+
+    def degree_sum(w: int) -> int:  # S(w)
+        return sum(degs[x] for x in g.neighbors(w))
+
     u = degs.index(st.max_degree)
     v = degs.index(st.min_degree)
-    a = Fraction(sums[u] - sums[v], degs[u] - degs[v])
-    b = Fraction(sums[u]) - a * degs[u]
-    if any(sums[w] != a * degs[w] + b for w in range(g.n)):
+    # the line through (d_u, S(u)) and (d_v, S(v)) has slope a = num/den and
+    # intercept b = b_den/den; each vertex is tested with den cleared, and the
+    # first one off the line ends the fit
+    s_u = degree_sum(u)
+    num, den = s_u - degree_sum(v), degs[u] - degs[v]
+    b_den = s_u * den - num * degs[u]
+    if any(degree_sum(w) * den != num * degs[w] + b_den for w in range(g.n)):
         return None
-    if a.denominator != 1 or b.denominator != 1:
-        logger.debug("affine neighbour-sum fit is not integral: a=%s b=%s", a, b)
+    if num % den:
+        logger.debug("affine neighbour-sum fit is not integral: a=%d/%d", num, den)
         return None
-    ai, bi = int(a), int(b)
+    ai = num // den
+    bi = s_u - ai * degs[u]
     if ai < 0 or ai * ai + 4 * bi < 0:
         logger.debug("affine fit rejected: a=%s b=%s", ai, bi)
         return None
@@ -100,15 +113,16 @@ class VarianceIdentity:
 
 
 def variance_spectral_identity(
-    g: Graph, ctx: Optional[GraphContext] = None
+    g: Graph, ctx: Optional[GraphContext] = None, params: Optional[TwoWalkParams] = None
 ) -> VarianceIdentity:
     """Check Var == (lambda - 2m/n)(2m/n - mu) exactly.
 
     With lambda+mu = a and lambda*mu = -b the product equals
-    a*(2m/n) + b - (2m/n)^2, so no irrational arithmetic is needed.
+    a*(2m/n) + b - (2m/n)^2, so no irrational arithmetic is needed.  A caller
+    that has fitted ``g`` already passes the fit as ``params``.
     """
     ctx = ctx if ctx is not None else context(g)
-    p = two_walk_params(g, ctx)
+    p = params if params is not None else two_walk_params(g, ctx)
     if p is None:
         raise InputError("graph is not 2-walk linear")
     c = ctx.avg

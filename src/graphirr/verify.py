@@ -8,9 +8,15 @@ A suite walks a population of isomorphism-class representatives and records
   equality shows up outside the expected family during a conjecture scan;
 * equalities -- informational list of equality cases.
 
-Reports are deterministic: populations arrive sorted by canonical code and
-all outcome lists are re-sorted before packaging, so worker count and
-scheduling cannot change the result.
+Every check but one reads only a graph's degree profile: its order, sorted
+degrees and connectivity.  The population is grouped by profile and each
+profile gets one context, so the degree-only suites and both conjecture scans
+evaluate a profile once and report the outcome under every code in it.  The
+two-walk fit of the ``spectral`` suite reads neighbour-degree sums, which the
+degrees do not determine, and is the only check made per graph.
+
+Reports are deterministic: all outcome lists are sorted by graph code before
+packaging, so grouping, worker count and scheduling cannot change the result.
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .canon import canonical_code
 from .enumeration import EnumerationSpec, enumerate_codes_cached, enumerate_range_cached
 from .errors import InputError
 from .families import complete_split
-from .graph import Graph
+from .graph import Graph, is_connected
 from .io import parse_graph6
 from .measures import (
     _BOUNDS,
@@ -82,7 +88,7 @@ class VerificationReport:
     violations: tuple[Violation, ...]
     findings: tuple[Finding, ...]
     equalities: tuple[EqualityCase, ...]
-    elapsed: float  # seconds in suite evaluation; enumeration and contexts excluded
+    elapsed: float  # seconds in suite evaluation; enumeration, profiles and contexts excluded
 
     @property
     def passed(self) -> bool:
@@ -90,6 +96,8 @@ class VerificationReport:
 
 
 class _Outcome:
+    """Outcomes of one suite; each is recorded once for every code in ``codes``."""
+
     def __init__(self) -> None:
         self.checked = 0
         self.violations: list[Violation] = []
@@ -98,7 +106,7 @@ class _Outcome:
 
     def expect(
         self,
-        code: str,
+        codes: Sequence[str],
         check: str,
         ok: bool,
         lhs: Fraction,
@@ -106,18 +114,23 @@ class _Outcome:
         note: str = "",
     ) -> None:
         if not ok:
-            self.violations.append(
-                Violation(code, check, fraction_text(lhs), fraction_text(rhs), note)
-            )
+            lhs_text, rhs_text = fraction_text(lhs), fraction_text(rhs)
+            self.violations += (Violation(c, check, lhs_text, rhs_text, note) for c in codes)
 
     def expect_eq(
-        self, code: str, check: str, lhs: Fraction, rhs: Fraction, note: str = ""
+        self, codes: Sequence[str], check: str, lhs: Fraction, rhs: Fraction, note: str = ""
     ) -> None:
-        self.expect(code, check, lhs == rhs, lhs, rhs, note)
+        self.expect(codes, check, lhs == rhs, lhs, rhs, note)
+
+    def find(self, codes: Sequence[str], check: str, note: str) -> None:
+        self.findings += (Finding(c, check, note) for c in codes)
+
+    def equal(self, codes: Sequence[str], check: str) -> None:
+        self.equalities += (EqualityCase(c, check) for c in codes)
 
     def expect_iff(
         self,
-        code: str,
+        codes: Sequence[str],
         check: str,
         ok: bool,
         lhs: Fraction,
@@ -126,9 +139,9 @@ class _Outcome:
         equality_check: Optional[str] = None,
     ) -> None:
         """The inequality ``check``, and equality exactly when ``predicted``."""
-        self.expect(code, check, ok, lhs, rhs)
+        self.expect(codes, check, ok, lhs, rhs)
         self.expect(
-            code,
+            codes,
             equality_check or check + "_equality_iff",
             (lhs == rhs) == predicted,
             lhs,
@@ -138,40 +151,67 @@ class _Outcome:
 
 
 Population = Union[EnumerationSpec, Sequence[EnumerationSpec], Sequence[Graph]]
-#: (canonical code, context) per graph, sorted by code.
-Pairs = list[tuple[str, GraphContext]]
+
+
+class _Profile(NamedTuple):
+    """The graphs of one degree profile, with the context they share.
+
+    ``ctx`` is the first graph's context.  Its degree statistics (all but the
+    labelled ``degrees``), classification and measures are those of every
+    graph here, so they are all that a degree-only suite may read.
+    """
+
+    codes: tuple[str, ...]
+    graphs: tuple[Graph, ...]
+    ctx: GraphContext
+
+
+def _by_profile(coded: Iterable[tuple[str, Graph]]) -> list[list[tuple[str, Graph]]]:
+    """``coded`` grouped by (order, sorted degrees, connectivity), order kept."""
+    groups: dict[tuple, list[tuple[str, Graph]]] = {}
+    for code, g in coded:
+        key = (g.n, tuple(sorted(g.degrees())), is_connected(g))
+        groups.setdefault(key, []).append((code, g))
+    return list(groups.values())
 
 
 def _materialise(
     population: Population, workers: int, cache_dir: Optional[str]
-) -> tuple[Pairs, str]:
-    """The population's graphs, each with the one context every suite reads."""
+) -> tuple[list[_Profile], str]:
+    """The population's graphs by degree profile, with one context per profile."""
     if isinstance(population, EnumerationSpec):
         population = [population]
     population = list(population)
     if population and isinstance(population[0], EnumerationSpec):
         lists = enumerate_range_cached(population, workers=workers, cache_dir=cache_dir)
-        pairs = [(c, context(parse_graph6(c))) for codes in lists for c in codes]
-        return pairs, "; ".join(spec.describe() for spec in population)
-    graphs = list(population)
-    coded = sorted(((canonical_code(g), g) for g in graphs), key=lambda item: item[0])
-    return [(c, context(g)) for c, g in coded], f"explicit list of {len(graphs)} graphs"
+        coded = [(c, parse_graph6(c)) for codes in lists for c in codes]
+        desc = "; ".join(spec.describe() for spec in population)
+    else:
+        coded = sorted(((canonical_code(g), g) for g in population), key=lambda item: item[0])
+        desc = f"explicit list of {len(coded)} graphs"
+    if not coded:
+        raise InputError(f"empty population ({desc}): there is nothing to check")
+    profiles = []
+    for group in _by_profile(coded):
+        codes, graphs = zip(*group)
+        profiles.append(_Profile(codes, graphs, context(graphs[0])))
+    return profiles, desc
 
 
 # --- individual suites ------------------------------------------------------
 
 
-def _suite_bounds(pairs: Pairs, only: Optional[str] = None) -> _Outcome:
+def _suite_bounds(profiles: list[_Profile], only: Optional[str] = None) -> _Outcome:
     out = _Outcome()
-    for code, ctx in pairs:
-        out.checked += 1
+    for codes, _, ctx in profiles:
+        out.checked += len(codes)
         for rec in bound_report(ctx.g, ctx):
             if only is not None and rec.bound_id != only:
                 continue
             if rec.agreement == NOT_APPLICABLE:
                 continue
             out.expect(
-                code, rec.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed"
+                codes, rec.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed"
             )
             if rec.agreement == CONDITION_MISMATCH:
                 note = (
@@ -180,58 +220,58 @@ def _suite_bounds(pairs: Pairs, only: Optional[str] = None) -> _Outcome:
                     else "documented equality condition held strictly"
                 )
                 if rec.bound_id in AMBIGUOUS_BOUNDS:
-                    out.findings.append(Finding(code, rec.bound_id, note))
+                    out.find(codes, rec.bound_id, note)
                 else:
-                    out.expect(code, rec.bound_id, False, rec.lhs, rec.rhs, note)
+                    out.expect(codes, rec.bound_id, False, rec.lhs, rec.rhs, note)
     return out
 
 
-def _suite_bidegreed(pairs: Pairs) -> _Outcome:
+def _suite_bidegreed(profiles: list[_Profile]) -> _Outcome:
     """Exact relations tying S, IRD and Var together on two-degree graphs."""
     out = _Outcome()
-    for code, ctx in pairs:
+    for codes, _, ctx in profiles:
         if not (ctx.cls.is_connected and ctx.cls.is_bidegreed):
             continue
-        out.checked += 1
+        out.checked += len(codes)
         ms = ctx.ms
-        out.expect_eq(code, "s_eq_ird", ms.s, ms.ird)
-        out.expect_eq(code, "two_n_var_eq_gap_s", 2 * ctx.n * ms.var, ctx.gap * ms.s)
+        out.expect_eq(codes, "s_eq_ird", ms.s, ms.ird)
+        out.expect_eq(codes, "two_n_var_eq_gap_s", 2 * ctx.n * ms.var, ctx.gap * ms.s)
         closed = Fraction(ctx.n_max * ctx.n_min * ctx.gap**2, ctx.n**2)
-        out.expect_eq(code, "var_product_closed_form", ms.var, closed)
-        out.expect_eq(code, "var_decomposition_exact", ms.var, ctx.product_bound)
+        out.expect_eq(codes, "var_product_closed_form", ms.var, closed)
+        out.expect_eq(codes, "var_decomposition_exact", ms.var, ctx.product_bound)
     return out
 
 
-def _suite_balanced(pairs: Pairs) -> _Outcome:
+def _suite_balanced(profiles: list[_Profile]) -> _Outcome:
     """Balanced bidegreed graphs: S equals IRR and n^2 Var equals S^2."""
     out = _Outcome()
-    for code, ctx in pairs:
+    for codes, _, ctx in profiles:
         if not (ctx.cls.is_connected and ctx.cls.is_balanced_bidegreed):
             continue
-        out.checked += 1
-        out.expect_eq(code, "s_eq_irr", ctx.ms.s, ctx.ms.irr)
+        out.checked += len(codes)
+        out.expect_eq(codes, "s_eq_irr", ctx.ms.s, ctx.ms.irr)
         out.expect_eq(
-            code, "n_sq_var_eq_s_sq", ctx.n**2 * ctx.ms.var, ctx.ms.s**2
+            codes, "n_sq_var_eq_s_sq", ctx.n**2 * ctx.ms.var, ctx.ms.s**2
         )
     return out
 
 
-def _suite_degree_counts(pairs: Pairs) -> _Outcome:
+def _suite_degree_counts(profiles: list[_Profile]) -> _Outcome:
     """Pendant/degree-2 counts from the cycle rank and higher-degree census."""
     out = _Outcome()
-    for code, ctx in pairs:
+    for codes, _, ctx in profiles:
         if not ctx.cls.is_connected or ctx.n < 2:
             continue
-        out.checked += 1
+        out.checked += len(codes)
         hist = ctx.stats.histogram
         c = ctx.cls.cyclomatic or 0
         bw = _branch_weight(hist)
         n_high = sum(cnt for d, cnt in hist.items() if d >= 3)
         out.expect_eq(
-            code, "pendant_count", Fraction(hist.get(1, 0)), Fraction(2 - 2 * c + bw)
+            codes, "pendant_count", Fraction(hist.get(1, 0)), Fraction(2 - 2 * c + bw)
         )
         out.expect_eq(
-            code,
+            codes,
             "degree_two_count",
             Fraction(hist.get(2, 0)),
             Fraction(2 * c + ctx.n - 2 - bw - n_high),
@@ -243,26 +283,26 @@ def _is_path_graph(ctx: GraphContext) -> bool:
     return ctx.cls.is_tree and ctx.stats.max_degree <= 2
 
 
-def _suite_trees(pairs: Pairs) -> _Outcome:
+def _suite_trees(profiles: list[_Profile]) -> _Outcome:
     out = _Outcome()
-    for code, ctx in pairs:
+    for codes, _, ctx in profiles:
         if not ctx.cls.is_tree or ctx.n < 2:
             continue
-        out.checked += 1
+        out.checked += len(codes)
         ms = ctx.ms
         tf = tree_formulas(ctx.g, ctx)
-        out.expect_eq(code, "tree_s_closed", tf.s_closed, ms.s)
-        out.expect_eq(code, "tree_var_closed", tf.var_closed, ms.var)
-        out.expect_eq(code, "tree_irr_closed", tf.irr_closed, ms.irr)
-        out.expect_eq(code, "tree_s_from_pendants", tf.n1_based_s, ms.s)
+        out.expect_eq(codes, "tree_s_closed", tf.s_closed, ms.s)
+        out.expect_eq(codes, "tree_var_closed", tf.var_closed, ms.var)
+        out.expect_eq(codes, "tree_irr_closed", tf.irr_closed, ms.irr)
+        out.expect_eq(codes, "tree_s_from_pendants", tf.n1_based_s, ms.s)
 
         is_path = _is_path_graph(ctx)
         n = ctx.n
         out.expect_iff(
-            code, "tree_s_floor", ms.s >= tf.s_floor, ms.s, tf.s_floor, is_path
+            codes, "tree_s_floor", ms.s >= tf.s_floor, ms.s, tf.s_floor, is_path
         )
         out.expect_iff(
-            code,
+            codes,
             "tree_var_floor",
             ms.var >= tf.var_floor,
             ms.var,
@@ -272,23 +312,23 @@ def _suite_trees(pairs: Pairs) -> _Outcome:
         if n >= 3:
             half_n = Fraction(n, 2)
             out.expect_iff(
-                code, "tree_irr_floor", ms.irr >= half_n, ms.irr, half_n, is_path
+                codes, "tree_irr_floor", ms.irr >= half_n, ms.irr, half_n, is_path
             )
 
         # IRD bracketed by the branch-weight bounds, tight iff no middle degrees
         no_mid = all(d in (1, 2, ctx.stats.max_degree) for d in ctx.stats.degree_set)
         out.expect_iff(
-            code, "tree_ird_upper", ms.ird <= tf.ird_upper, ms.ird, tf.ird_upper, no_mid
+            codes, "tree_ird_upper", ms.ird <= tf.ird_upper, ms.ird, tf.ird_upper, no_mid
         )
         out.expect_iff(
-            code, "tree_ird_lower", ms.ird >= tf.ird_lower, ms.ird, tf.ird_lower, no_mid
+            codes, "tree_ird_lower", ms.ird >= tf.ird_lower, ms.ird, tf.ird_lower, no_mid
         )
 
         # mean-relative identity: Var - S/(2n) is a weighted branch sum, >= 0
         gap_val = ms.var - ms.s / (2 * n)
-        out.expect_eq(code, "tree_var_s_gap_identity", gap_val, tf.var_s_gap)
+        out.expect_eq(codes, "tree_var_s_gap_identity", gap_val, tf.var_s_gap)
         out.expect_iff(
-            code,
+            codes,
             "tree_var_s_gap_sign",
             gap_val >= 0,
             gap_val,
@@ -300,11 +340,11 @@ def _suite_trees(pairs: Pairs) -> _Outcome:
             assert ms.omega is not None
             floor = Fraction(1, 2 * n)
             out.expect_iff(
-                code, "tree_omega_floor", ms.omega >= floor, ms.omega, floor, is_path
+                codes, "tree_omega_floor", ms.omega >= floor, ms.omega, floor, is_path
             )
         if n >= 3:
             out.expect_iff(
-                code,
+                codes,
                 "tree_s_ge_ird",
                 ms.s >= ms.ird,
                 ms.s,
@@ -317,29 +357,29 @@ def _suite_trees(pairs: Pairs) -> _Outcome:
 _BOUND_DEFS = {b.bound_id: b for b in _BOUNDS}
 
 
-def _suite_cyclic(pairs: Pairs) -> _Outcome:
+def _suite_cyclic(profiles: list[_Profile]) -> _Outcome:
     out = _Outcome()
-    for code, ctx in pairs:
+    for codes, _, ctx in profiles:
         if not _cyclic_range(ctx):
             continue
-        out.checked += 1
+        out.checked += len(codes)
         ms = ctx.ms
         cf = cyclic_formulas(ctx.g, ctx)
-        out.expect_eq(code, "cyclic_s_closed", cf.s_closed, ms.s)
-        out.expect_eq(code, "cyclic_var_closed", cf.var_closed, ms.var)
+        out.expect_eq(codes, "cyclic_s_closed", cf.s_closed, ms.s)
+        out.expect_eq(codes, "cyclic_var_closed", cf.var_closed, ms.var)
         if ctx.cls.is_unicyclic:
             assert cf.unicyclic_s is not None and cf.unicyclic_residue is not None
-            out.expect_eq(code, "unicyclic_s_eq_2n1", cf.unicyclic_s, ms.s)
+            out.expect_eq(codes, "unicyclic_s_eq_2n1", cf.unicyclic_s, ms.s)
             nvar_minus_s = ctx.n * ms.var - ms.s
             out.expect_eq(
-                code, "unicyclic_nvar_minus_s", nvar_minus_s, cf.unicyclic_residue
+                codes, "unicyclic_nvar_minus_s", nvar_minus_s, cf.unicyclic_residue
             )
             if not ctx.cls.is_regular:
                 assert ms.omega is not None
                 floor = Fraction(1, ctx.n)
                 within_123 = all(d <= 3 for d in ctx.stats.degree_set)
                 out.expect_iff(
-                    code,
+                    codes,
                     "unicyclic_omega_floor",
                     ms.omega >= floor,
                     ms.omega,
@@ -348,10 +388,10 @@ def _suite_cyclic(pairs: Pairs) -> _Outcome:
                 )
         # two bounds of the suite, reported under this suite's check names
         rec = _evaluate(_BOUND_DEFS["omega_ge_cyclic_floor"], ctx)
-        out.expect(code, "cyclic_omega_floor", rec.holds, rec.lhs, rec.rhs)
+        out.expect(codes, "cyclic_omega_floor", rec.holds, rec.lhs, rec.rhs)
         rec = _evaluate(_BOUND_DEFS["s_le_pendant_cyclic_cap"], ctx)
         out.expect_iff(
-            code,
+            codes,
             "pendant_cyclic_cap",
             rec.holds,
             rec.lhs,
@@ -361,79 +401,82 @@ def _suite_cyclic(pairs: Pairs) -> _Outcome:
     return out
 
 
-def _suite_omega(pairs: Pairs) -> _Outcome:
+def _suite_omega(profiles: list[_Profile]) -> _Outcome:
     """Var/S of a bidegreed graph depends only on n and the degree gap."""
     out = _Outcome()
-    for code, ctx in pairs:
+    for codes, _, ctx in profiles:
         if not (ctx.cls.is_connected and ctx.cls.is_bidegreed):
             continue
-        out.checked += 1
+        out.checked += len(codes)
         assert ctx.ms.omega is not None
         expected = Fraction(ctx.gap, 2 * ctx.n)
-        out.expect_eq(code, "omega_gap_ratio", ctx.ms.omega, expected)
+        out.expect_eq(codes, "omega_gap_ratio", ctx.ms.omega, expected)
         if ctx.gap == 1:
             out.expect_eq(
-                code, "omega_unit_gap", ctx.ms.omega, Fraction(1, 2 * ctx.n)
+                codes, "omega_unit_gap", ctx.ms.omega, Fraction(1, 2 * ctx.n)
             )
     return out
 
 
-def _suite_spectral(pairs: Pairs) -> _Outcome:
+def _suite_spectral(profiles: list[_Profile]) -> _Outcome:
+    """The one per-graph suite: neighbour-degree sums are not read from the degrees."""
     out = _Outcome()
-    for code, ctx in pairs:
+    for codes, graphs, ctx in profiles:
         if not ctx.cls.is_connected or ctx.cls.is_regular:
             continue
-        params = two_walk_params(ctx.g, ctx)
-        if params is None:
-            continue
-        out.checked += 1
-        out.expect(
-            code,
-            "two_walk_integral",
-            params.a >= 0,
-            Fraction(params.a),
-            Fraction(0),
-        )
-        ident = variance_spectral_identity(ctx.g, ctx)
-        out.expect(
-            code,
-            "two_walk_var_identity",
-            ident.matches,
-            ident.var_via_params,
-            ctx.ms.var,
-        )
-        holds, disc, square = two_walk_radius_test(params, ctx.stats.min_degree)
-        out.expect(
-            code,
-            "two_walk_radius",
-            holds,
-            Fraction(disc),
-            Fraction(square),
-            "a^2+4b <= (a-2*Dmin)^2: Dmin <= mu, so lambda is not the spectral radius",
-        )
+        for code, g in zip(codes, graphs):
+            params = two_walk_params(g, ctx)
+            if params is None:
+                continue
+            out.checked += 1
+            one = (code,)
+            out.expect(
+                one,
+                "two_walk_integral",
+                params.a >= 0,
+                Fraction(params.a),
+                Fraction(0),
+            )
+            ident = variance_spectral_identity(g, ctx, params)
+            out.expect(
+                one,
+                "two_walk_var_identity",
+                ident.matches,
+                ident.var_via_params,
+                ctx.ms.var,
+            )
+            holds, disc, square = two_walk_radius_test(params, ctx.stats.min_degree)
+            out.expect(
+                one,
+                "two_walk_radius",
+                holds,
+                Fraction(disc),
+                Fraction(square),
+                "a^2+4b <= (a-2*Dmin)^2: Dmin <= mu, so lambda is not the spectral radius",
+            )
     return out
 
 
-def _suite_max_zagreb_universal(pairs: Pairs) -> _Outcome:
+def _suite_max_zagreb_universal(profiles: list[_Profile]) -> _Outcome:
     """Among same-order irregular graphs, max-M1 graphs have a universal vertex.
 
     Meaningful only when the population contains, for each order present,
     every connected irregular graph of that order.
     """
     out = _Outcome()
-    by_n: dict[int, list[tuple[str, GraphContext]]] = {}
-    for code, ctx in pairs:
-        if ctx.cls.is_regular or not ctx.cls.is_connected:
+    by_n: dict[int, list[_Profile]] = {}
+    for p in profiles:
+        if p.ctx.cls.is_regular or not p.ctx.cls.is_connected:
             continue
-        by_n.setdefault(ctx.n, []).append((code, ctx))
+        by_n.setdefault(p.ctx.n, []).append(p)
     for n, items in sorted(by_n.items()):
-        top = max(ctx.ms.m1 for _, ctx in items)
-        for code, ctx in items:
+        top = max(p.ctx.ms.m1 for p in items)
+        for codes, _, ctx in items:
             if ctx.ms.m1 != top:
                 continue
-            out.checked += 1
+            out.checked += len(codes)
             out.expect(
-                code,
+                codes,
                 "max_zagreb_has_universal",
                 ctx.stats.universal_count >= 1,
                 ctx.ms.m1,
@@ -443,7 +486,7 @@ def _suite_max_zagreb_universal(pairs: Pairs) -> _Outcome:
     return out
 
 
-_SUITES: dict[str, Callable[[Pairs], _Outcome]] = {
+_SUITES: dict[str, Callable[[list[_Profile]], _Outcome]] = {
     "bounds": _suite_bounds,
     "bidegreed": _suite_bidegreed,
     "balanced": _suite_balanced,
@@ -466,12 +509,12 @@ def run_suite(
     cache_dir: Optional[str] = None,
 ) -> VerificationReport:
     """Run one suite over a population and package a deterministic report."""
-    pairs, desc = _materialise(population, workers, cache_dir)
+    profiles, desc = _materialise(population, workers, cache_dir)
     start = time.perf_counter()
     if suite_id in _SUITES:
-        outcome = _SUITES[suite_id](pairs)
+        outcome = _SUITES[suite_id](profiles)
     elif suite_id in BOUND_IDS:
-        outcome = _suite_bounds(pairs, only=suite_id)
+        outcome = _suite_bounds(profiles, only=suite_id)
     else:
         raise InputError(f"unknown suite {suite_id!r}; choose from {sorted(SUITE_IDS)}")
     return _package(suite_id, desc, outcome, start)
@@ -483,11 +526,11 @@ def run_all_suites(
     workers: int = 1,
     cache_dir: Optional[str] = None,
 ) -> list[VerificationReport]:
-    pairs, desc = _materialise(population, workers, cache_dir)
+    profiles, desc = _materialise(population, workers, cache_dir)
     reports = []
     for suite_id, fn in _SUITES.items():
         start = time.perf_counter()
-        reports.append(_package(suite_id, desc, fn(pairs), start))
+        reports.append(_package(suite_id, desc, fn(profiles), start))
     return reports
 
 
@@ -522,16 +565,16 @@ def check_deviation_conjecture(
     {min degree, average degree, max degree}; deviations from that pattern
     are reported as findings, never as violations.
     """
-    pairs, desc = _materialise(population, workers, cache_dir)
+    profiles, desc = _materialise(population, workers, cache_dir)
     start = time.perf_counter()
     out = _Outcome()
-    for code, ctx in pairs:
-        out.checked += 1
+    for codes, _, ctx in profiles:
+        out.checked += len(codes)
         ms = ctx.ms
         second_rhs = ms.irr * ms.ird / Fraction(ctx.n**2)
-        out.expect(code, "s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird)
+        out.expect(codes, "s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird)
         out.expect(
-            code, "var_ge_irr_ird", ms.var >= second_rhs, ms.var, second_rhs
+            codes, "var_ge_irr_ird", ms.var >= second_rhs, ms.var, second_rhs
         )
         predicted = _degrees_within_extremes_or_mean(ctx)
         for check, equal in (
@@ -539,10 +582,10 @@ def check_deviation_conjecture(
             ("var_eq_irr_ird", ms.var == second_rhs),
         ):
             if equal:
-                out.equalities.append(EqualityCase(code, check))
+                out.equal(codes, check)
             if equal != predicted:
                 note = "equality pattern disagrees with the degree-set condition"
-                out.findings.append(Finding(code, check, note))
+                out.find(codes, check, note)
     return _package("conjecture-ird", desc, out, start)
 
 
@@ -557,24 +600,20 @@ def check_omega_conjecture(
     Equality is expected exactly for bidegreed graphs with degree gap 1;
     other equality cases are recorded as findings.
     """
-    pairs, desc = _materialise(population, workers, cache_dir)
+    profiles, desc = _materialise(population, workers, cache_dir)
     start = time.perf_counter()
     out = _Outcome()
-    for code, ctx in pairs:
+    for codes, _, ctx in profiles:
         if ctx.cls.is_regular:
             continue
-        out.checked += 1
+        out.checked += len(codes)
         lhs = 2 * ctx.n * ctx.ms.var
-        out.expect(code, "two_n_var_ge_s", lhs >= ctx.ms.s, lhs, ctx.ms.s)
+        out.expect(codes, "two_n_var_ge_s", lhs >= ctx.ms.s, lhs, ctx.ms.s)
         if lhs == ctx.ms.s:
-            out.equalities.append(EqualityCase(code, "omega_floor"))
+            out.equal(codes, "omega_floor")
             if not (ctx.cls.is_bidegreed and ctx.gap == 1):
-                out.findings.append(
-                    Finding(
-                        code,
-                        "omega_floor",
-                        "equality outside the unit-gap bidegreed family",
-                    )
+                out.find(
+                    codes, "omega_floor", "equality outside the unit-gap bidegreed family"
                 )
     return _package("conjecture-omega", desc, out, start)
 
@@ -615,16 +654,17 @@ def extremal_search(
     best_var: Fraction | None = None
     s_graphs: list[str] = []
     var_graphs: list[str] = []
-    for code in codes:
-        ms = measure_set(parse_graph6(code))
+    for group in _by_profile((c, parse_graph6(c)) for c in codes):
+        ms = measure_set(group[0][1])  # S and Var read the degrees alone
+        members = [c for c, _ in group]
         if best_s is None or ms.s > best_s:
-            best_s, s_graphs = ms.s, [code]
+            best_s, s_graphs = ms.s, list(members)
         elif ms.s == best_s:
-            s_graphs.append(code)
+            s_graphs += members
         if best_var is None or ms.var > best_var:
-            best_var, var_graphs = ms.var, [code]
+            best_var, var_graphs = ms.var, list(members)
         elif ms.var == best_var:
-            var_graphs.append(code)
+            var_graphs += members
     assert best_s is not None and best_var is not None
     return ExtremalResult(
         n=n,

@@ -340,6 +340,19 @@ class TestDeterminismAndFilters:
         with pytest.raises(InputError):
             enumerate_codes(EnumerationSpec(n=4, m=9))
 
+    def test_tree_and_unicyclic_impossible_m_grow_nothing(self, monkeypatch, tmp_path):
+        calls = count_canonicalisations(monkeypatch)
+        specs = [
+            EnumerationSpec(n=10, m=5, population="unicyclic"),
+            EnumerationSpec(n=12, m=12, population="trees"),
+        ]
+        assert enumerate_range(specs, cache_dir=str(tmp_path)) == [[], []]
+        assert calls[0] == 0
+        # the possible m of each population still grows
+        assert len(enumerate_codes(EnumerationSpec(n=6, m=6, population="unicyclic"))) == 13
+        assert len(enumerate_codes(EnumerationSpec(n=6, m=5, population="trees"))) == 6
+        assert calls[0] > 0
+
     def test_cap_n(self):
         with pytest.raises(CapabilityError):
             enumerate_codes(EnumerationSpec(n=9))

@@ -1,9 +1,14 @@
 """Golden reports: the exact JSON the suites produce, timing removed.
 
-Three files under ``tests/data`` pin every report byte for byte:
+Five files under ``tests/data`` pin every report byte for byte:
 
 * ``verify_all_n6.json``  -- ``graphirr verify --suite all --max-n 6 --out``;
 * ``conjectures_n6.json`` -- ``graphirr conjectures --max-n 6 --out``;
+* ``verify_trees_12.json`` and ``verify_unicyclic_10.json`` -- ``graphirr
+  verify --suite all`` over trees n <= 12 and unicyclic graphs n <= 10, the
+  populations with the most graphs per degree profile: they were written by
+  the graph-by-graph suites, so they pin the checked counts of the suites
+  that now run once per degree profile;
 * ``pinned_failures.json`` -- all nine suites and both conjecture scans over
   five graphs whose measure sets are deliberately perturbed (S + 1,
   Var + 1/7), so that almost every check fails and the text of each
@@ -33,6 +38,12 @@ DATA = Path(__file__).parent / "data"
 CLI_GOLDENS = {
     "verify_all_n6.json": ["verify", "--suite", "all", "--max-n", "6"],
     "conjectures_n6.json": ["conjectures", "--max-n", "6"],
+    "verify_trees_12.json": [
+        "verify", "--suite", "all", "--population", "trees", "--max-n", "12"
+    ],
+    "verify_unicyclic_10.json": [
+        "verify", "--suite", "all", "--population", "unicyclic", "--max-n", "10"
+    ],
 }
 
 

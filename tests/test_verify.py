@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import time
 from fractions import Fraction as F
@@ -6,10 +7,11 @@ import pytest
 
 from graphirr import graph, verify
 from graphirr.canon import canonical_code
-from graphirr.enumeration import EnumerationSpec, enumerate_codes
+from graphirr.enumeration import EnumerationSpec, enumerate_codes, range_specs
 from graphirr.errors import InputError
 from graphirr.families import complete, complete_split, path, star, wheel
-from graphirr.graph import from_edge_list
+from graphirr.graph import classify, degree_stats, from_edge_list
+from graphirr.io import parse_graph6, to_graph6
 from graphirr.measures import measure_set
 from graphirr.serialize import report_json_text
 from graphirr.spectral import TwoWalkParams
@@ -83,7 +85,7 @@ class TestRunSuite:
 
 
 class TestSinglePass:
-    def test_degree_stats_once_per_graph(self, monkeypatch):
+    def test_degree_stats_once_per_profile(self, monkeypatch):
         real = graph.degree_stats
         seen = []
 
@@ -96,12 +98,17 @@ class TestSinglePass:
                 monkeypatch.setattr(module, "degree_stats", counting)
         specs = [EnumerationSpec(n=k, connected_only=True) for k in range(1, 6)]
         reports = run_all_suites(specs)
-        assert sorted(seen) == [code for spec in specs for code in enumerate_codes(spec)]
-        assert reports[0].graphs_checked == len(seen) == 31
+        codes = [code for spec in specs for code in enumerate_codes(spec)]
+        first_of_profile: dict[tuple, str] = {}
+        for code in codes:  # sorted within each n, so the first is the least code
+            g = parse_graph6(code)
+            first_of_profile.setdefault((g.n, tuple(sorted(g.degrees()))), code)
+        assert sorted(seen) == sorted(first_of_profile.values())
+        assert len(seen) == 29 and reports[0].graphs_checked == len(codes) == 31
         seen.clear()
-        graphs = [star(5), wheel(6), path(4)]
-        run_all_suites(graphs)
-        assert sorted(seen) == sorted(canonical_code(g) for g in graphs)
+        graphs = [star(5), wheel(6), path(4), path(4)]
+        assert run_all_suites(graphs)[0].graphs_checked == 4
+        assert sorted(seen) == sorted(canonical_code(g) for g in graphs[:3])
 
     def test_elapsed_times_suite_evaluation_only(self, monkeypatch):
         real = verify.enumerate_range_cached
@@ -125,6 +132,77 @@ class TestSinglePass:
         rep = run_suite([star(4)], "spectral")
         radius = [(v.lhs, v.rhs) for v in rep.violations if v.check == "two_walk_radius"]
         assert radius == [("4", "4")]
+
+
+_ENTRY_POINTS = {
+    "run_all_suites": run_all_suites,
+    "run_suite": lambda population: run_suite(population, "bounds"),
+    "check_deviation_conjecture": check_deviation_conjecture,
+    "check_omega_conjecture": check_omega_conjecture,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "population",
+    [[], [EnumerationSpec(n=5, m=3, connected_only=True)]],
+    ids=["empty-list", "empty-spec"],
+)
+def test_empty_population_refused(entry, population):
+    # zero graphs checked must not read as a pass
+    with pytest.raises(InputError, match="empty population"):
+        _ENTRY_POINTS[entry](population)
+
+
+class TestProfiles:
+    """Graphs with one order, sorted degrees and connectivity share one context."""
+
+    @pytest.mark.parametrize(
+        "specs, graphs, profiles",
+        [
+            (range_specs("all", 7, connected_only=True), 996, 333),
+            (range_specs("trees", 12), 986, 139),
+            (range_specs("unicyclic", 10), 1040, 103),
+        ],
+        ids=["connected-7", "trees-12", "unicyclic-10"],
+    )
+    def test_every_graph_matches_its_profile(self, specs, graphs, profiles):
+        groups, _ = verify._materialise(specs, 1, None)
+        codes = [c for p in groups for c in p.codes]
+        assert len(codes) == len(set(codes)) == graphs and len(groups) == profiles
+        for p in groups:
+            shared = p.ctx
+            assert [to_graph6(g) for g in p.graphs] == list(p.codes)
+            for g in p.graphs:
+                st = degree_stats(g)
+                assert sorted(st.degrees) == sorted(shared.stats.degrees)
+                assert dataclasses.replace(st, degrees=shared.stats.degrees) == shared.stats
+                assert classify(g, st) == shared.cls
+                assert measure_set(g, st) == shared.ms
+
+    def test_outcomes_reach_every_graph_of_a_profile(self, monkeypatch):
+        # two trees with degrees (3, 2, 2, 1, 1, 1): the leaf hangs off vertex 1 or 2
+        spine = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        a, b = (from_edge_list(6, spine + [(v, 5)]) for v in (1, 2))
+        real = verify.context
+
+        def off_by_one(g):  # S + 1 makes most checks fail
+            ctx = real(g)
+            return dataclasses.replace(ctx, ms=dataclasses.replace(ctx.ms, s=ctx.ms.s + 1))
+
+        monkeypatch.setattr(verify, "context", off_by_one)
+        reports = run_all_suites([a, b]) + [check_deviation_conjecture([a, b])]
+        code_a, code_b = canonical_code(a), canonical_code(b)
+        assert code_a != code_b
+        for rep in reports:
+            per_code = {
+                code: [dataclasses.replace(v, graph="") for v in rep.violations if v.graph == code]
+                for code in (code_a, code_b)
+            }
+            assert per_code[code_a] == per_code[code_b]
+            assert len(rep.violations) == 2 * len(per_code[code_a])
+        assert sum(len(rep.violations) for rep in reports) >= 10
+        assert {rep.suite_id: rep.graphs_checked for rep in reports}["trees"] == 2
 
 
 class TestConjectures:
