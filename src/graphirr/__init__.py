@@ -12,13 +12,9 @@ __version__ = "0.1.0"
 from .canon import CANONICAL_CAP, canonical_code, canonical_relabel
 from .enumeration import (
     EnumerationSpec,
-    enumerate_codes,
     enumerate_codes_cached,
-    enumerate_graphs,
     enumerate_range,
     enumerate_range_cached,
-    enumerate_trees,
-    enumerate_unicyclic,
 )
 from .errors import CapabilityError, InputError
 from .families import (
@@ -39,7 +35,6 @@ from .graph import (
     DegreeStats,
     Graph,
     classify,
-    cyclomatic_number,
     degree_stats,
     from_edge_list,
     is_connected,
@@ -59,11 +54,9 @@ from .measures import (
     first_zagreb,
     measure_set,
     tree_formulas,
-    variance_decomposition,
 )
 from .spectral import (
     TwoWalkParams,
-    main_eigenvalues,
     two_walk_params,
     two_walk_radius_test,
     variance_spectral_identity,

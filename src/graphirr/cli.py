@@ -94,8 +94,12 @@ def _fmt(q) -> str:
 def _read_input(arg: str) -> Graph:
     if arg == "-":
         return parse_graph(sys.stdin.read())
-    with open(arg, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(arg, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {arg}: {exc}") from None
+    return parse_graph(text)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -210,6 +214,13 @@ _FAMILIES = {
 }
 
 
+def _int_params(params: list[str]) -> list[int]:
+    try:
+        return [int(p) for p in params]
+    except ValueError:
+        raise InputError(f"family parameters must be integers, got {params}") from None
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     fam = args.family
     if fam == "named":
@@ -217,13 +228,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise InputError("usage: gen named <name>")
         g = named(args.params[0])
     elif fam == "multipartite":
-        sizes = [int(p) for p in args.params]
-        g = complete_multipartite(sizes)
+        g = complete_multipartite(_int_params(args.params))
     elif fam in _FAMILIES:
         arity, build = _FAMILIES[fam]
         if len(args.params) != arity:
             raise InputError(f"family {fam!r} takes {arity} integer parameter(s)")
-        g = build([int(p) for p in args.params])
+        g = build(_int_params(args.params))
     else:
         raise InputError(f"unknown family {fam!r}")
     if args.edges:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .canon import Rows, canonical_rows
 from .errors import CapabilityError, InputError
 from .graph import Graph, rows_connected
-from .io import parse_graph6, to_graph6
+from .io import to_graph6
 
 logger = logging.getLogger(__name__)
 
@@ -215,24 +215,6 @@ def enumerate_range(
     return [found[spec] for spec in specs]
 
 
-def enumerate_codes(spec: EnumerationSpec, workers: int = 1) -> list[str]:
-    """Sorted canonical codes of every isomorphism class matching ``spec``."""
-    return enumerate_range([spec], workers)[0]
-
-
-def enumerate_graphs(spec: EnumerationSpec, workers: int = 1) -> list[Graph]:
-    """Canonical representative per isomorphism class, sorted by code."""
-    return [parse_graph6(c) for c in enumerate_codes(spec, workers)]
-
-
-def enumerate_trees(n: int) -> list[Graph]:
-    return enumerate_graphs(EnumerationSpec(n=n, population="trees"))
-
-
-def enumerate_unicyclic(n: int) -> list[Graph]:
-    return enumerate_graphs(EnumerationSpec(n=n, population="unicyclic"))
-
-
 def range_specs(
     population: str, max_n: int, connected_only: bool = False
 ) -> list[EnumerationSpec]:
@@ -307,7 +289,7 @@ def enumerate_range_cached(
 def enumerate_codes_cached(
     spec: EnumerationSpec, workers: int = 1, cache_dir: Optional[str] = None
 ) -> list[str]:
-    """Like :func:`enumerate_codes` with the cache of :func:`enumerate_range_cached`."""
+    """The sorted codes of one spec, through :func:`enumerate_range_cached`."""
     return enumerate_range_cached([spec], workers, cache_dir)[0]
 
 

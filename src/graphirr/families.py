@@ -138,7 +138,7 @@ def degree2_inflate(h: Graph, count: int) -> Graph:
 
 def recognize(g: Graph) -> str | None:
     """Name the graph when it belongs to a small standard family."""
-    from .graph import classify, degree_stats
+    from .graph import classify, degree_stats, rows_connected
 
     st = degree_stats(g)
     n, m = g.n, st.edge_count
@@ -164,19 +164,10 @@ def recognize(g: Graph) -> str | None:
             and degs == [3] * (n - 1) + [n - 1]
         ):
             hub = max(range(n), key=g.degree)
-            rim_mask = ((1 << n) - 1) ^ (1 << hub)
-            # the rim must induce one cycle: 2-regular and connected
-            seen = rim_mask & -rim_mask
-            frontier = seen
-            while frontier:
-                reach = 0
-                mask = frontier
-                while mask:
-                    low = mask & -mask
-                    reach |= g.rows[low.bit_length() - 1] & rim_mask
-                    mask ^= low
-                frontier = reach & ~seen
-                seen |= frontier
-            if seen == rim_mask:
+            low = (1 << hub) - 1
+            # the rim rows with the hub's bit cut out; the rim is 2-regular,
+            # so it is one cycle iff it is connected
+            rim = [r & low | r >> (hub + 1) << hub for v, r in enumerate(g.rows) if v != hub]
+            if rows_connected(rim):
                 return f"W_{n}"
     return None

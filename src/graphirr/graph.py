@@ -105,13 +105,6 @@ def is_connected(g: Graph) -> bool:
     return rows_connected(g.rows)
 
 
-def cyclomatic_number(g: Graph) -> int:
-    """Independent cycle count m - n + 1; requires a connected graph."""
-    if not is_connected(g):
-        raise InputError("cyclomatic number is defined here only for connected graphs")
-    return g.m - g.n + 1
-
-
 @dataclass(frozen=True)
 class DegreeStats:
     """Degree-sequence summary of a graph."""

@@ -77,7 +77,7 @@ class GraphContext:
 
     @property
     def product_bound(self) -> Fraction:
-        """(Dmax - 2m/n)(2m/n - Dmin): caps Var, equal to it on at most two degrees."""
+        """(Dmax - 2m/n)(2m/n - Dmin), the Bhatia-Davis cap on Var; exact iff <= 2 degrees."""
         return (self.stats.max_degree - self.avg) * (self.avg - self.stats.min_degree)
 
 
@@ -113,22 +113,6 @@ def context(g: Graph) -> GraphContext:
     return GraphContext(g=g, stats=st, cls=classify(g, st), ms=measure_set(g, st))
 
 
-@dataclass(frozen=True)
-class VarianceDecomposition:
-    product_bound: Fraction  # (Dmax - 2m/n)(2m/n - Dmin)
-    is_exact: bool
-
-
-def variance_decomposition(g: Graph) -> VarianceDecomposition:
-    ctx = context(g)
-    if not ctx.cls.is_connected:
-        raise InputError("variance decomposition needs a connected graph")
-    bound = ctx.product_bound
-    if ctx.ms.var > bound:
-        raise AssertionError("variance exceeded its product bound")
-    return VarianceDecomposition(product_bound=bound, is_exact=ctx.ms.var == bound)
-
-
 # --- the inequality suite -------------------------------------------------
 
 #: ``agreement`` verdicts of a BoundRecord.
@@ -158,7 +142,7 @@ class _BoundDef:
     rhs: Callable[[GraphContext], Fraction]
     direction: str  # "le" or "ge", always lhs OP rhs
     predicted: Callable[[GraphContext], bool]
-    equality_mode: str  # "iff", "if" (sufficient only), or "none"
+    equality_mode: str  # "iff", or "if" (sufficient only)
     strict: bool = False
     ambiguous: bool = False  # condition mismatches are findings, not failures
 
@@ -224,6 +208,16 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         rhs=lambda c: Fraction(c.gap * c.gap, 4),
         direction="le",
         predicted=_regular_or_balanced,
+        equality_mode="iff",
+    ),
+    _BoundDef(
+        bound_id="var_le_product_bound",
+        formula="Var <= (Dmax-2m/n)(2m/n-Dmin)",
+        applies=lambda c: True,
+        lhs=lambda c: c.ms.var,
+        rhs=lambda c: c.product_bound,
+        direction="le",
+        predicted=_two_degrees,
         equality_mode="iff",
     ),
     _BoundDef(
@@ -304,7 +298,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         rhs=lambda c: Fraction(1, 2),
         direction="le",
         predicted=_false,
-        equality_mode="none",
+        equality_mode="if",
         strict=True,
     ),
     _BoundDef(
@@ -315,7 +309,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         rhs=lambda c: Fraction(1, c.n) - Fraction(2) / c.ms.s,
         direction="ge",
         predicted=_false,
-        equality_mode="none",
+        equality_mode="if",
     ),
     _BoundDef(
         bound_id="s_le_pendant_cyclic_cap",
@@ -357,10 +351,8 @@ def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
     predicted = defn.predicted(ctx)
     if defn.equality_mode == "iff":
         agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
-    elif defn.equality_mode == "if":
-        agree = CONFIRMED if (not predicted or equal) else CONDITION_MISMATCH
     else:
-        agree = CONFIRMED
+        agree = CONFIRMED if (not predicted or equal) else CONDITION_MISMATCH
     return BoundRecord(
         bound_id=defn.bound_id,
         formula=defn.formula,

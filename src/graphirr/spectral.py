@@ -20,7 +20,6 @@ with the two main eigenvalues lambda, mu = (a +- sqrt(D))/2, D = a^2 + 4b.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -83,15 +82,6 @@ def two_walk_params(
         logger.debug("affine fit rejected: a=%s b=%s", ai, bi)
         return None
     return TwoWalkParams(a=ai, b=bi)
-
-
-def main_eigenvalues(p: TwoWalkParams) -> tuple[float, float]:
-    """The two main eigenvalues (larger first), for display only."""
-    disc = p.a * p.a + 4 * p.b
-    if disc < 0:
-        raise InputError("negative discriminant")
-    root = math.sqrt(disc)
-    return (p.a + root) / 2, (p.a - root) / 2
 
 
 def two_walk_radius_test(p: TwoWalkParams, min_degree: int) -> tuple[bool, int, int]:

@@ -509,14 +509,14 @@ def run_suite(
     cache_dir: Optional[str] = None,
 ) -> VerificationReport:
     """Run one suite over a population and package a deterministic report."""
+    if suite_id not in SUITE_IDS:
+        raise InputError(f"unknown suite {suite_id!r}; choose from {sorted(SUITE_IDS)}")
     profiles, desc = _materialise(population, workers, cache_dir)
     start = time.perf_counter()
     if suite_id in _SUITES:
         outcome = _SUITES[suite_id](profiles)
-    elif suite_id in BOUND_IDS:
-        outcome = _suite_bounds(profiles, only=suite_id)
     else:
-        raise InputError(f"unknown suite {suite_id!r}; choose from {sorted(SUITE_IDS)}")
+        outcome = _suite_bounds(profiles, only=suite_id)
     return _package(suite_id, desc, outcome, start)
 
 

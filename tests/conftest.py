@@ -8,7 +8,7 @@ import numpy
 import pytest
 from hypothesis import strategies as st
 
-from graphirr.enumeration import EnumerationSpec, enumerate_codes, enumerate_range, range_specs
+from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
 from graphirr.graph import Graph, degree_stats, from_edge_list, is_connected
 from graphirr.io import parse_graph6
 
@@ -107,7 +107,7 @@ def connected_upto6(all_graphs_upto6) -> dict[int, list[Graph]]:
 @pytest.fixture(scope="session")
 def connected_7() -> list[Graph]:
     """All 853 connected classes on 7 vertices, built once per test run."""
-    codes = enumerate_codes(EnumerationSpec(n=7, connected_only=True))
+    (codes,) = enumerate_range([EnumerationSpec(n=7, connected_only=True)])
     return [parse_graph6(c) for c in codes]
 
 

@@ -5,6 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphirr import verify
 from graphirr.canon import canonical_code
 from graphirr.cli import main
 from graphirr.families import named, wheel
@@ -89,6 +93,27 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "-")
         assert code == 0 and "S=8/5" in out
 
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "compute", str(tmp_path / "missing.g6"))
+        assert code == 2 and "cannot read" in err
+
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"\xff\xfe\n")
+        code, _, err = run(capsys, "compute", str(p))
+        assert code == 2 and "cannot read" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(max_size=40))
+    def test_any_stdin_text_exits_0_2_or_3(self, text):
+        import io
+        from contextlib import redirect_stderr, redirect_stdout
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stdin", io.StringIO(text))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(["compute", "-"]) in (0, 2, 3)
+
 
 class TestGen:
     def test_wheel(self, capsys):
@@ -121,6 +146,11 @@ class TestGen:
         assert code == 2
         code, _, err = run(capsys, "gen", "named", "petersen")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["path", "x"], ["multipartite", "2", "y"]])
+    def test_non_integer_params_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, "gen", *argv)
+        assert code == 2 and "must be integers" in err
 
 
 class TestEnum:
@@ -194,9 +224,19 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_unknown_suite_exit_2(self, capsys):
-        code, _, _ = run(capsys, "verify", "--suite", "bogus", "--max-n", "4")
-        assert code == 2
+    def test_unknown_suite_exit_2(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        real = verify.enumerate_range_cached
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "enumerate_range_cached", counting)
+        argv = ["--suite", "bogus", "--max-n", "7", "--cache-dir", str(tmp_path)]
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 2 and "unknown suite" in err
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_cap_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bounds", "--max-n", "20")

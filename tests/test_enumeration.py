@@ -12,13 +12,9 @@ from graphirr import __version__, enumeration
 from graphirr.canon import canonical_code
 from graphirr.enumeration import (
     EnumerationSpec,
-    enumerate_codes,
     enumerate_codes_cached,
-    enumerate_graphs,
     enumerate_range,
     enumerate_range_cached,
-    enumerate_trees,
-    enumerate_unicyclic,
     range_specs,
 )
 from graphirr.errors import CapabilityError, InputError
@@ -84,7 +80,7 @@ def count_canonicalisations(monkeypatch) -> list[int]:
 @pytest.fixture(scope="module")
 def all_n8() -> list[str]:
     """The whole n=8 population, built once for every test that reads it."""
-    return enumerate_codes(EnumerationSpec(n=8))
+    return enumerate_range([EnumerationSpec(n=8)])[0]
 
 
 @pytest.fixture(scope="module")
@@ -101,12 +97,12 @@ def atlas_codes() -> dict[int, list[str]]:
 class TestCounts:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_connected_counts(self, n):
-        codes = enumerate_codes(EnumerationSpec(n=n, connected_only=True))
+        codes = enumerate_range([EnumerationSpec(n=n, connected_only=True)])[0]
         assert len(codes) == CONNECTED_BY_N[n]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_counts(self, n):
-        assert len(enumerate_codes(EnumerationSpec(n=n))) == ALL_BY_N[n]
+        assert len(enumerate_range([EnumerationSpec(n=n)])[0]) == ALL_BY_N[n]
 
     @pytest.mark.slow
     def test_n8_counts(self, all_n8):
@@ -116,7 +112,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_same_classes_as_graph_atlas(self, n, atlas_codes):
-        assert enumerate_codes(EnumerationSpec(n=n)) == sorted(atlas_codes[n])
+        assert enumerate_range([EnumerationSpec(n=n)])[0] == sorted(atlas_codes[n])
 
     @pytest.mark.parametrize(
         "n, m, connected, count",
@@ -131,29 +127,29 @@ class TestCounts:
     )
     def test_one_and_two_vertices(self, n, m, connected, count):
         spec = EnumerationSpec(n=n, m=m, connected_only=connected)
-        assert len(enumerate_codes(spec)) == count
+        assert len(enumerate_range([spec])[0]) == count
 
     def test_n3_connected_classes(self):
-        graphs = enumerate_graphs(EnumerationSpec(n=3, connected_only=True))
-        degrees = sorted(tuple(sorted(g.degrees())) for g in graphs)
+        codes = enumerate_range([EnumerationSpec(n=3, connected_only=True)])[0]
+        degrees = sorted(tuple(sorted(parse_graph6(c).degrees())) for c in codes)
         assert degrees == [(1, 1, 2), (2, 2, 2)]  # the path and the triangle
 
     @pytest.mark.parametrize("m", [3, 5, 8, 12, 15])
     def test_burnside_cross_check_n6(self, m):
-        codes = enumerate_codes(EnumerationSpec(n=6, m=m))
+        codes = enumerate_range([EnumerationSpec(n=6, m=m)])[0]
         assert len(codes) == burnside_graph_count(6, m)
 
     @pytest.mark.parametrize("m", range(22))
     def test_burnside_cross_check_n7(self, m):
-        codes = enumerate_codes(EnumerationSpec(n=7, m=m))
+        codes = enumerate_range([EnumerationSpec(n=7, m=m)])[0]
         assert len(codes) == burnside_graph_count(7, m)
 
     def test_gamma_6_12(self):
-        codes = enumerate_codes(EnumerationSpec(n=6, m=12, connected_only=True))
+        codes = enumerate_range([EnumerationSpec(n=6, m=12, connected_only=True)])[0]
         assert len(codes) == 5
-        irregular = enumerate_codes(
-            EnumerationSpec(n=6, m=12, connected_only=True, irregular_only=True)
-        )
+        irregular = enumerate_range(
+            [EnumerationSpec(n=6, m=12, connected_only=True, irregular_only=True)]
+        )[0]
         assert len(irregular) == 4
         (regular,) = set(codes) - set(irregular)
         g = parse_graph6(regular)
@@ -166,11 +162,12 @@ class TestCounts:
 class TestTrees:
     @pytest.mark.parametrize("n", sorted(TREES_BY_N))
     def test_counts(self, n):
-        assert len(enumerate_trees(n)) == TREES_BY_N[n]
+        spec = EnumerationSpec(n=n, population="trees")
+        assert len(enumerate_range([spec])[0]) == TREES_BY_N[n]
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_same_classes_as_networkx(self, n):
-        mine = set(enumerate_codes(EnumerationSpec(n=n, population="trees")))
+        mine = set(enumerate_range([EnumerationSpec(n=n, population="trees")])[0])
         theirs = set()
         for t in nx.nonisomorphic_trees(n):
             relabeled = nx.convert_node_labels_to_integers(t)
@@ -179,37 +176,40 @@ class TestTrees:
         assert mine == theirs
 
     def test_all_are_trees(self):
-        for t in enumerate_trees(9):
+        for code in enumerate_range([EnumerationSpec(n=9, population="trees")])[0]:
+            t = parse_graph6(code)
             assert is_connected(t) and t.m == t.n - 1
 
     def test_caps(self):
         with pytest.raises(CapabilityError):
-            enumerate_trees(13)
+            enumerate_range([EnumerationSpec(n=13, population="trees")])
         with pytest.raises(InputError):
-            enumerate_trees(1)
+            enumerate_range([EnumerationSpec(n=1, population="trees")])
 
 
 class TestUnicyclic:
     @pytest.mark.parametrize("n", sorted(UNICYCLIC_BY_N))
     def test_counts(self, n):
-        assert len(enumerate_unicyclic(n)) == UNICYCLIC_BY_N[n]
+        spec = EnumerationSpec(n=n, population="unicyclic")
+        assert len(enumerate_range([spec])[0]) == UNICYCLIC_BY_N[n]
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_agrees_with_direct_slice(self, n):
         # independent route: fixed-m enumeration at m = n with connectivity
-        direct = set(enumerate_codes(EnumerationSpec(n=n, m=n, connected_only=True)))
-        grown = set(enumerate_codes(EnumerationSpec(n=n, population="unicyclic")))
+        direct = set(enumerate_range([EnumerationSpec(n=n, m=n, connected_only=True)])[0])
+        grown = set(enumerate_range([EnumerationSpec(n=n, population="unicyclic")])[0])
         assert direct == grown
 
     def test_all_are_unicyclic(self):
-        for g in enumerate_unicyclic(8):
+        for code in enumerate_range([EnumerationSpec(n=8, population="unicyclic")])[0]:
+            g = parse_graph6(code)
             assert is_connected(g) and g.m == g.n
 
     def test_caps(self):
         with pytest.raises(CapabilityError):
-            enumerate_unicyclic(11)
+            enumerate_range([EnumerationSpec(n=11, population="unicyclic")])
         with pytest.raises(InputError):
-            enumerate_unicyclic(2)
+            enumerate_range([EnumerationSpec(n=2, population="unicyclic")])
 
 
 class TestRange:
@@ -249,7 +249,7 @@ class TestRange:
         specs = [EnumerationSpec(n=n, **fields) for n in range(low, max_n + 1)]
         specs = [s for s in specs if s.m is None or s.m <= s.n * (s.n - 1) // 2]
         lists = enumerate_range(specs)
-        assert lists == [enumerate_codes(s) for s in specs]
+        assert lists == [enumerate_range([s])[0] for s in specs]
         assert enumerate_range(specs, workers=3) == lists
 
     def test_lists_follow_the_input_order(self):
@@ -260,7 +260,7 @@ class TestRange:
             EnumerationSpec(n=5),
             EnumerationSpec(n=4, population="unicyclic"),
         ]
-        assert enumerate_range(specs) == [enumerate_codes(s) for s in specs]
+        assert enumerate_range(specs) == [enumerate_range([s])[0] for s in specs]
 
     def test_only_missing_levels_grow(self, tmp_path, monkeypatch):
         specs = range_specs("trees", 10)
@@ -292,20 +292,20 @@ class TestCrossPopulationAgreement:
     def test_spanning_slice_equals_trees_n8(self):
         # two routes through the generator: connected 7-edge children of the
         # whole n=7 population vs single-leaf children of the n=7 trees
-        spanning = enumerate_codes(EnumerationSpec(n=8, m=7, connected_only=True))
-        grown = enumerate_codes(EnumerationSpec(n=8, population="trees"))
+        spanning = enumerate_range([EnumerationSpec(n=8, m=7, connected_only=True)])[0]
+        grown = enumerate_range([EnumerationSpec(n=8, population="trees")])[0]
         assert spanning == grown
         assert len(spanning) == 23
 
     def test_dense_slice_n8(self):
         # K_8 minus two edges: the pair is disjoint or shares an endpoint
-        codes = enumerate_codes(EnumerationSpec(n=8, m=26, connected_only=True))
+        codes = enumerate_range([EnumerationSpec(n=8, m=26, connected_only=True)])[0]
         assert len(codes) == 2
 
 
 class TestDeterminismAndFilters:
     def test_no_duplicate_codes(self):
-        codes = enumerate_codes(EnumerationSpec(n=6, m=9, connected_only=True))
+        codes = enumerate_range([EnumerationSpec(n=6, m=9, connected_only=True)])[0]
         assert len(codes) == len(set(codes))
         assert codes == sorted(codes)
 
@@ -323,22 +323,22 @@ class TestDeterminismAndFilters:
             (EnumerationSpec(n=2, m=0), 3),
             (EnumerationSpec(n=2, m=1, connected_only=True), 3),
         ]:
-            assert enumerate_codes(spec, workers=1) == enumerate_codes(spec, workers)
+            assert enumerate_range([spec]) == enumerate_range([spec], workers)
 
     def test_filters_respected(self):
-        for g in enumerate_graphs(
-            EnumerationSpec(n=6, m=8, connected_only=True, irregular_only=True)
-        ):
+        spec = EnumerationSpec(n=6, m=8, connected_only=True, irregular_only=True)
+        for code in enumerate_range([spec])[0]:
+            g = parse_graph6(code)
             assert is_connected(g) and g.m == 8
             assert len(set(g.degrees())) > 1
 
     def test_representatives_are_canonical(self):
-        for code in enumerate_codes(EnumerationSpec(n=5, connected_only=True)):
+        for code in enumerate_range([EnumerationSpec(n=5, connected_only=True)])[0]:
             assert canonical_code(parse_graph6(code)) == code
 
     def test_impossible_m(self):
         with pytest.raises(InputError):
-            enumerate_codes(EnumerationSpec(n=4, m=9))
+            enumerate_range([EnumerationSpec(n=4, m=9)])
 
     def test_tree_and_unicyclic_impossible_m_grow_nothing(self, monkeypatch, tmp_path):
         calls = count_canonicalisations(monkeypatch)
@@ -349,16 +349,19 @@ class TestDeterminismAndFilters:
         assert enumerate_range(specs, cache_dir=str(tmp_path)) == [[], []]
         assert calls[0] == 0
         # the possible m of each population still grows
-        assert len(enumerate_codes(EnumerationSpec(n=6, m=6, population="unicyclic"))) == 13
-        assert len(enumerate_codes(EnumerationSpec(n=6, m=5, population="trees"))) == 6
+        possible = [
+            EnumerationSpec(n=6, m=6, population="unicyclic"),
+            EnumerationSpec(n=6, m=5, population="trees"),
+        ]
+        assert [len(codes) for codes in enumerate_range(possible)] == [13, 6]
         assert calls[0] > 0
 
     def test_cap_n(self):
         with pytest.raises(CapabilityError):
-            enumerate_codes(EnumerationSpec(n=9))
+            enumerate_range([EnumerationSpec(n=9)])
 
     def test_connected_below_spanning_empty(self):
-        assert enumerate_codes(EnumerationSpec(n=5, m=3, connected_only=True)) == []
+        assert enumerate_range([EnumerationSpec(n=5, m=3, connected_only=True)])[0] == []
 
 
 class TestCache:
@@ -368,7 +371,7 @@ class TestCache:
         files = list(tmp_path.iterdir())
         assert len(files) == 1
         second = enumerate_codes_cached(spec, cache_dir=str(tmp_path))
-        assert first == second == enumerate_codes(spec)
+        assert first == second == enumerate_range([spec])[0]
 
     def test_stale_fixed_tmp_name_does_not_block_writes(self, tmp_path):
         # a directory where the old fixed "<path>.tmp" name pointed
@@ -376,7 +379,7 @@ class TestCache:
         final = tmp_path / f"{spec.key()}-v{__version__}.g6"
         (tmp_path / (final.name + ".tmp")).mkdir()
         codes = enumerate_codes_cached(spec, cache_dir=str(tmp_path))
-        assert codes == enumerate_codes(spec)
+        assert codes == enumerate_range([spec])[0]
         assert final.read_text().split() == codes
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             final.name,
@@ -388,7 +391,7 @@ class TestCache:
 
     def test_no_cache_dir_is_plain(self):
         spec = EnumerationSpec(n=4)
-        assert enumerate_codes_cached(spec) == enumerate_codes(spec)
+        assert enumerate_codes_cached(spec) == enumerate_range([spec])[0]
 
     def test_workers_checked_on_a_warm_cache(self, tmp_path):
         spec = EnumerationSpec(n=4)
@@ -407,8 +410,8 @@ class TestCache:
     )
     def test_damaged_file_is_recomputed(self, tmp_path, caplog, damage):
         spec = EnumerationSpec(n=5, connected_only=True)
-        codes = enumerate_codes(spec)
-        other = enumerate_codes(EnumerationSpec(n=6, connected_only=True))
+        codes = enumerate_range([spec])[0]
+        other = enumerate_range([EnumerationSpec(n=6, connected_only=True)])[0]
         path = tmp_path / f"{spec.key()}-v{__version__}.g6"
         path.write_text(damage(codes, other))
         with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
@@ -427,7 +430,7 @@ class TestCache:
         ids=lambda spec: spec.key(),
     )
     def test_file_cut_at_a_line_boundary_is_recomputed(self, tmp_path, caplog, spec):
-        codes = enumerate_codes(spec)
+        codes = enumerate_range([spec])[0]
         path = tmp_path / f"{spec.key()}-v{__version__}.g6"
         path.write_text("\n".join(codes[:-1]) + "\n")
         with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):

@@ -20,6 +20,8 @@ from graphirr.families import (
 from graphirr.graph import classify, degree_stats, from_edge_list, is_connected
 from graphirr.measures import measure_set
 
+from conftest import permute
+
 
 class TestBasicFamilies:
     def test_path(self):
@@ -180,3 +182,17 @@ class TestRecognize:
         assert recognize(wheel(6)) == "W_6"
         assert recognize(named("diamond")) == "CS(4,2)"  # K_4 minus an edge
         assert recognize(named("grotzsch")) is None
+
+    def test_wheels(self):
+        for n in range(5, 10):
+            assert recognize(wheel(n)) == f"W_{n}"
+            # the hub in the middle of the labels, not at vertex 0
+            rotated = [(v + n // 2) % n for v in range(n)]
+            assert recognize(permute(wheel(n), rotated)) == f"W_{n}"
+
+    def test_hub_on_two_triangles_is_not_a_wheel(self):
+        # n = 7 and degrees 3^6 6^1 as in W_7, but the rim is two triangles
+        rim = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+        g = from_edge_list(7, [(0, v) for v in range(1, 7)] + rim)
+        assert sorted(g.degrees()) == [3] * 6 + [6]
+        assert recognize(g) is None

@@ -24,7 +24,6 @@ from graphirr.measures import (
     first_zagreb,
     measure_set,
     tree_formulas,
-    variance_decomposition,
 )
 from graphirr.verify import run_suite
 
@@ -166,25 +165,32 @@ class TestBidegreedIdentities:
 
 
 class TestVarianceDecomposition:
+    """Var <= (Dmax - 2m/n)(2m/n - Dmin), the ``var_le_product_bound`` record."""
+
+    def _record(self, g):
+        (rec,) = (r for r in bound_report(g) if r.bound_id == "var_le_product_bound")
+        assert rec.holds and rec.agreement == "confirmed"
+        return rec
+
     def test_regular_exact_zero(self):
-        rec = variance_decomposition(cycle(6))
-        assert rec.product_bound == 0 and rec.is_exact
+        rec = self._record(cycle(6))
+        assert rec.rhs == 0 and rec.is_equality
 
     def test_split_7_2_exact(self):
-        rec = variance_decomposition(complete_split(7, 2))
-        assert rec.is_exact
-        assert rec.product_bound == F(160, 49)
+        rec = self._record(complete_split(7, 2))
+        assert rec.is_equality
+        assert rec.rhs == F(160, 49)
 
     def test_tripartite_strict(self):
-        rec = variance_decomposition(complete_multipartite([2, 3, 5]))
-        assert rec.product_bound == F(54, 25)
-        assert not rec.is_exact
+        rec = self._record(complete_multipartite([2, 3, 5]))
+        assert rec.rhs == F(54, 25)
+        assert not rec.is_equality
 
     def test_bidegreed_always_exact(self, connected_upto6):
         for pop in connected_upto6.values():
             for g in pop:
                 if classify(g).is_bidegreed:
-                    assert variance_decomposition(g).is_exact
+                    assert self._record(g).is_equality
 
 
 class TestBoundReport:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from graphirr.enumeration import EnumerationSpec, enumerate_codes
+from graphirr.enumeration import EnumerationSpec, enumerate_range
 from graphirr.errors import InputError
 from graphirr.families import (
     complete_split,
@@ -18,7 +18,6 @@ from graphirr.io import parse_graph6
 from graphirr.measures import measure_set
 from graphirr.spectral import (
     TwoWalkParams,
-    main_eigenvalues,
     two_walk_params,
     two_walk_radius_test,
     variance_spectral_identity,
@@ -72,28 +71,6 @@ class TestDetection:
         p = two_walk_params(star(7))
         assert p is not None
 
-
-class TestMainEigenvalues:
-    def test_grotzsch_pair(self):
-        lam, mu = main_eigenvalues(TwoWalkParams(1, 10))
-        assert lam == pytest.approx((1 + math.sqrt(41)) / 2, abs=1e-12)
-        assert mu == pytest.approx((1 - math.sqrt(41)) / 2, abs=1e-12)
-
-    def test_symmetric_case(self):
-        assert main_eigenvalues(TwoWalkParams(0, 1)) == (1.0, -1.0)
-
-    def test_wheel6_pair(self):
-        lam, mu = main_eigenvalues(TwoWalkParams(2, 5))
-        assert lam == pytest.approx(1 + math.sqrt(6), abs=1e-12)
-        assert mu == pytest.approx(1 - math.sqrt(6), abs=1e-12)
-
-    def test_sum_and_product(self):
-        p = TwoWalkParams(3, 7)
-        lam, mu = main_eigenvalues(p)
-        assert lam + mu == pytest.approx(p.a, abs=1e-12)
-        assert lam * mu == pytest.approx(-p.b, abs=1e-12)
-        assert lam >= mu
-
     def test_invalid_params_rejected(self):
         with pytest.raises(InputError):
             TwoWalkParams(a=-1, b=5)
@@ -129,7 +106,7 @@ def two_walk_classes_upto6():
     """Every connected irregular 2-walk-linear class on at most 6 vertices."""
     out = []
     for n in range(2, 7):
-        for code in enumerate_codes(EnumerationSpec(n=n, connected_only=True)):
+        for code in enumerate_range([EnumerationSpec(n=n, connected_only=True)])[0]:
             g = parse_graph6(code)
             if len(set(g.degrees())) > 1 and two_walk_params(g) is not None:
                 out.append(g)

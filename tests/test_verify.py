@@ -7,7 +7,7 @@ import pytest
 
 from graphirr import graph, verify
 from graphirr.canon import canonical_code
-from graphirr.enumeration import EnumerationSpec, enumerate_codes, range_specs
+from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
 from graphirr.errors import InputError
 from graphirr.families import complete, complete_split, path, star, wheel
 from graphirr.graph import classify, degree_stats, from_edge_list
@@ -98,7 +98,7 @@ class TestSinglePass:
                 monkeypatch.setattr(module, "degree_stats", counting)
         specs = [EnumerationSpec(n=k, connected_only=True) for k in range(1, 6)]
         reports = run_all_suites(specs)
-        codes = [code for spec in specs for code in enumerate_codes(spec)]
+        codes = [code for codes in enumerate_range(specs) for code in codes]
         first_of_profile: dict[tuple, str] = {}
         for code in codes:  # sorted within each n, so the first is the least code
             g = parse_graph6(code)
