@@ -204,14 +204,20 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# family -> (parameter count, (n, m) of the graph, constructor)
 _FAMILIES = {
-    "path": (1, lambda a: path(a[0])),
-    "cycle": (1, lambda a: cycle(a[0])),
-    "star": (1, lambda a: star(a[0])),
-    "complete": (1, lambda a: complete(a[0])),
-    "wheel": (1, lambda a: wheel(a[0])),
-    "cs": (2, lambda a: complete_split(a[0], a[1])),
+    "path": (1, lambda n: (n, n - 1), path),
+    "cycle": (1, lambda n: (n, n), cycle),
+    "star": (1, lambda n: (n, n - 1), star),
+    "complete": (1, lambda n: (n, n * (n - 1) // 2), complete),
+    "wheel": (1, lambda n: (n, 2 * (n - 1)), wheel),
+    "cs": (2, lambda n, k: (n, k * (k - 1) // 2 + k * (n - k)), complete_split),
 }
+# Checked before anything is built.  A graph keeps one n-bit row per vertex,
+# its graph6 text has n^2/12 characters and its edge list one tuple per edge:
+# at either cap `gen` peaks at about 100 MB.
+GEN_MAX_N = 5_000
+GEN_MAX_M = 500_000
 
 
 def _int_params(params: list[str]) -> list[int]:
@@ -221,6 +227,14 @@ def _int_params(params: list[str]) -> list[int]:
         raise InputError(f"family parameters must be integers, got {params}") from None
 
 
+def _check_gen_size(n: int, m: int) -> None:
+    """Refuse a family member over the caps; an invalid one is left to its constructor."""
+    if n > GEN_MAX_N:
+        raise CapabilityError(f"gen capped at n={GEN_MAX_N}, got n={n}")
+    if n >= 1 and m > GEN_MAX_M:
+        raise CapabilityError(f"gen capped at m={GEN_MAX_M} edges, got m={m}")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     fam = args.family
     if fam == "named":
@@ -228,12 +242,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise InputError("usage: gen named <name>")
         g = named(args.params[0])
     elif fam == "multipartite":
-        g = complete_multipartite(_int_params(args.params))
+        sizes = _int_params(args.params)
+        n = sum(sizes)
+        _check_gen_size(n, (n * n - sum(s * s for s in sizes)) // 2)
+        g = complete_multipartite(sizes)
     elif fam in _FAMILIES:
-        arity, build = _FAMILIES[fam]
+        arity, size, build = _FAMILIES[fam]
         if len(args.params) != arity:
             raise InputError(f"family {fam!r} takes {arity} integer parameter(s)")
-        g = build(_int_params(args.params))
+        params = _int_params(args.params)
+        _check_gen_size(*size(*params))
+        g = build(*params)
     else:
         raise InputError(f"unknown family {fam!r}")
     if args.edges:
@@ -287,7 +306,8 @@ def _emit_reports(reports, cfg: RunConfig) -> int:
             print(f"  ... {len(rep.equalities) - 10} further equality cases")
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump([report_json(r) for r in reports], fh, indent=2, sort_keys=True)
+            docs = [report_json(r, include_timing=False) for r in reports]
+            json.dump(docs, fh, indent=2, sort_keys=True)
         print(f"wrote {cfg.out}")
     if cfg.csv:
         lines = ["suite,checked,violations,findings,equalities"]

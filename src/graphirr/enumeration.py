@@ -8,6 +8,12 @@ single-vertex masks with the cycle C_size added at each size.  This reaches
 every class because deleting any vertex of a graph, or a leaf of a tree or of
 a unicyclic graph other than a cycle, leaves one of the smaller size.
 
+A tree or unicyclic child is first checked against the
+:func:`~graphirr.canon.leaf_certificate` of the children already seen at its
+size, which tells their classes apart in linear time, so only the first
+child of each class is canonicalised.  A child of the whole range is
+canonicalised every time.
+
 Specs that differ only in ``n`` form a family, served by one growth up to its
 largest ``n``: a smaller size keeps every representative and filters it by its
 spec after canonicalisation, the last size before.  Output is sorted by
@@ -23,7 +29,7 @@ from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
-from .canon import Rows, canonical_rows
+from .canon import Rows, canonical_rows, leaf_certificate
 from .errors import CapabilityError, InputError
 from .graph import Graph, rows_connected
 from .io import to_graph6
@@ -122,12 +128,12 @@ def _children(
     On the last size a fixed ``spec.m`` admits only masks of size m - m(parent),
     and only the children that ``spec`` keeps are canonicalised.
     """
-    if spec.population == "all":
-        masks = range(1 << (size - 1))
-    else:
-        masks = [1 << v for v in range(size - 1)]
+    sparse = spec.population != "all"
+    masks = [1 << v for v in range(size - 1)] if sparse else range(1 << (size - 1))
     bit = 1 << (size - 1)
     classes: dict[str, Rows] = {}
+    labels: dict[Rows, int] = {}
+    seen: set[Rows] = set()
     for parent in parents:
         need = None
         if last and spec.m is not None:
@@ -143,6 +149,11 @@ def _children(
                 rest ^= low
             if last and not _keep(spec, rows):
                 continue
+            if sparse:
+                cert = leaf_certificate(rows, labels)
+                if cert in seen:
+                    continue
+                seen.add(cert)
             _add_class(classes, rows)
     return classes
 

@@ -238,7 +238,6 @@ def _suite_bidegreed(profiles: list[_Profile]) -> _Outcome:
         out.expect_eq(codes, "two_n_var_eq_gap_s", 2 * ctx.n * ms.var, ctx.gap * ms.s)
         closed = Fraction(ctx.n_max * ctx.n_min * ctx.gap**2, ctx.n**2)
         out.expect_eq(codes, "var_product_closed_form", ms.var, closed)
-        out.expect_eq(codes, "var_decomposition_exact", ms.var, ctx.product_bound)
     return out
 
 

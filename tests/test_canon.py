@@ -1,12 +1,15 @@
 """Canonical-form correctness against brute force and networkx."""
 
+import random
 from itertools import permutations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphirr.canon import CANONICAL_CAP, canonical_code, canonical_relabel
+from graphirr.canon import CANONICAL_CAP, canonical_code, canonical_relabel, leaf_certificate
+from graphirr.enumeration import enumerate_range, range_specs
 from graphirr.errors import CapabilityError
 from graphirr.families import (
     complete,
@@ -18,6 +21,7 @@ from graphirr.families import (
     star,
 )
 from graphirr.graph import Graph, from_edge_list
+from graphirr.io import parse_graph6
 
 from conftest import graphs, permutations_of, permute
 
@@ -34,6 +38,18 @@ def brute_min_code(g: Graph) -> tuple[int, ...]:
         if best is None or bits < best:
             best = bits
     return best
+
+
+@st.composite
+def trees_and_unicyclic(draw, max_n: int = 12) -> Graph:
+    """A random tree, each vertex joined to an earlier one, maybe with one edge more."""
+    n = draw(st.integers(1, max_n))
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    tree = from_edge_list(n, edges)
+    if n < 3 or not draw(st.booleans()):
+        return tree
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not tree.has_edge(u, v)]
+    return from_edge_list(n, edges + [draw(st.sampled_from(absent))])
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -127,3 +143,37 @@ class TestSymmetricGraphs:
     def test_cap_enforced(self):
         with pytest.raises(CapabilityError):
             canonical_code(path(CANONICAL_CAP + 1))
+
+
+class TestLeafCertificate:
+    @pytest.mark.parametrize("population, max_n", [("trees", 12), ("unicyclic", 10)])
+    def test_equal_exactly_when_codes_are(self, population, max_n):
+        # every class up to the cap, each also under one seeded relabelling
+        rng = random.Random(max_n)
+        labels: dict = {}
+        certs = {}
+        for codes in enumerate_range(range_specs(population, max_n)):
+            for code in codes:
+                g = parse_graph6(code)
+                order = list(range(g.n))
+                rng.shuffle(order)
+                h = permute(g, order)
+                assert canonical_code(h) == code
+                cert = leaf_certificate(g.rows, labels)
+                assert leaf_certificate(h.rows, labels) == cert
+                assert certs.setdefault(cert, code) == code
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees_and_unicyclic(), permutations_of(12))
+    def test_invariant_under_relabelling(self, g, perm):
+        labels: dict = {}
+        assert leaf_certificate(g.rows, labels) == leaf_certificate(
+            permute(g, perm[: g.n]).rows, labels
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees_and_unicyclic(max_n=7), trees_and_unicyclic(max_n=7))
+    def test_equal_exactly_when_isomorphic(self, g1, g2):
+        labels: dict = {}
+        same = leaf_certificate(g1.rows, labels) == leaf_certificate(g2.rows, labels)
+        assert same == (g1.n == g2.n and nx.is_isomorphic(to_nx(g1), to_nx(g2)))

@@ -152,6 +152,33 @@ class TestGen:
         code, _, err = run(capsys, "gen", *argv)
         assert code == 2 and "must be integers" in err
 
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["complete", "100000"], "n=5000"),
+            (["path", "10000000"], "n=5000"),
+            (["path", "5001"], "n=5000"),
+            (["complete", "1001"], "m=500000"),
+            (["cs", "5000", "102"], "m=500000"),
+            (["multipartite", "1000", "1000"], "m=500000"),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else v,
+    )
+    def test_over_cap_exit_3_before_building(self, capsys, monkeypatch, argv, cap):
+        def no_build(*args):
+            raise AssertionError("gen built a graph over its cap")
+
+        monkeypatch.setattr("graphirr.families.from_edge_list", no_build)
+        code, _, err = run(capsys, "gen", *argv)
+        assert code == 3 and f"capped at {cap}" in err
+
+    def test_at_cap_and_invalid_below_it(self, capsys):
+        code, out, _ = run(capsys, "gen", "star", "5000", "--edges")
+        assert code == 0 and out.splitlines()[0] == "5000 4999"
+        # the edge count of a negative order is not a size: the constructor refuses it
+        code, _, err = run(capsys, "gen", "complete", "-100000")
+        assert code == 2 and "needs n >= 1" in err
+
 
 class TestEnum:
     def test_count_table_slice(self, capsys):
@@ -212,6 +239,21 @@ class TestVerify:
         assert all(not d["violations"] for d in docs)
         header = csv_file.read_text().splitlines()[0]
         assert header.startswith("suite,checked")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--suite", "all", "--max-n", "6"], ["conjectures", "--max-n", "6"]],
+        ids=["verify", "conjectures"],
+    )
+    def test_out_byte_identical_across_workers(self, capsys, tmp_path, argv):
+        texts = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            code, stdout, _ = run(capsys, *argv, "--workers", workers, "--out", str(out))
+            assert code == 0 and "s)" in stdout  # the summary line keeps the seconds
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert b'"elapsed"' not in texts[0]
 
     def test_single_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bounds", "--max-n", "4")

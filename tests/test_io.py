@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphirr.errors import CapabilityError, InputError
 from graphirr.families import complete_split, cycle, path, star
@@ -24,20 +25,52 @@ def nx_graph6(g) -> str:
     return nx.to_graph6_bytes(h, header=False).decode().strip()
 
 
+@st.composite
+def sparse_graphs(draw, min_n: int, max_n: int):
+    """Up to two edges per vertex at random, for orders beyond ``graphs``' reach."""
+    n = draw(st.integers(min_n, max_n))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    return from_edge_list(n, [(u, v) for u, v in edges if u != v])
+
+
+# n >= 63 takes graph6's four-byte size form
+ANY_SIZE = st.one_of(graphs(max_n=8), sparse_graphs(9, 62), sparse_graphs(63, 130))
+
+
+@st.composite
+def damaged_graph6(draw) -> str:
+    """A graph6 code, maybe with its header, with a slice replaced by arbitrary text."""
+    code = draw(st.sampled_from(["", ">>graph6<<"])) + to_graph6(draw(ANY_SIZE))
+    start = draw(st.integers(0, len(code)))
+    stop = draw(st.integers(start, min(start + 3, len(code))))
+    return code[:start] + draw(st.text(max_size=3)) + code[stop:]
+
+
 class TestGraph6:
     @settings(max_examples=200, deadline=None)
-    @given(graphs(max_n=8))
+    @given(ANY_SIZE)
     def test_bit_exact_vs_networkx(self, g):
         assert to_graph6(g) == nx_graph6(g)
 
     @settings(max_examples=200, deadline=None)
-    @given(graphs(max_n=8))
+    @given(ANY_SIZE)
     def test_round_trip(self, g):
         assert parse_graph6(to_graph6(g)) == g
 
-    def test_header_accepted(self):
-        g = path(4)
+    @settings(max_examples=100, deadline=None)
+    @given(ANY_SIZE)
+    def test_header_accepted(self, g):
         assert parse_graph6(">>graph6<<" + to_graph6(g)) == g
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=40), damaged_graph6()))
+    def test_malformed_text_raises_only_input_or_capability_errors(self, text):
+        try:
+            g = parse_graph6(text)
+        except (InputError, CapabilityError):
+            return
+        assert parse_graph6(to_graph6(g)) == g
 
     def test_known_encodings(self):
         # n=1 encodes to '@'; K_4 to 'C~'
