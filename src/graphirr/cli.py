@@ -9,13 +9,16 @@ Subcommands::
     conjectures  scan the two conjectured inequalities
     extremal     maximisers of S and Var over one (n, m) slice
 
-Exit codes: 0 success, 1 violations found, 2 bad input, 3 size cap exceeded.
+Exit codes: 0 success, 1 violations found, 2 bad input, 3 size cap exceeded,
+141 standard output closed by its reader (128 + SIGPIPE, as a shell reports
+a writer killed by that signal).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -60,6 +63,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_CAPABILITY = 3
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass(frozen=True)
@@ -465,7 +469,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to the null device
+        # so the interpreter's final flush cannot raise again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

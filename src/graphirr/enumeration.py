@@ -8,11 +8,16 @@ single-vertex masks with the cycle C_size added at each size.  This reaches
 every class because deleting any vertex of a graph, or a leaf of a tree or of
 a unicyclic graph other than a cycle, leaves one of the smaller size.
 
-A tree or unicyclic child is first checked against the
-:func:`~graphirr.canon.leaf_certificate` of the children already seen at its
-size, which tells their classes apart in linear time, so only the first
-child of each class is canonicalised.  A child of the whole range is
-canonicalised every time.
+A whole-range child is built only when its new vertex has minimum degree in
+it: deleting a minimum-degree vertex of any graph leaves a graph of the size
+below, so every class still has such a child (the degree part of McKay's
+canonical-deletion test, B. D. McKay, J. Algorithms 26 (1998) 306-324).  With
+a fixed ``m`` the sizes below ``n`` also keep only the edge counts that can
+still reach m that way (:func:`_edge_window`).  Duplicates that remain are
+removed by canonical code.  A tree or unicyclic child is first checked
+against the :func:`~graphirr.canon.leaf_certificate` of the children already
+seen at its size, which tells their classes apart in linear time, so only the
+first child of each class is canonicalised.
 
 Specs that differ only in ``n`` form a family, served by one growth up to its
 largest ``n``: a smaller size keeps every representative and filters it by its
@@ -26,8 +31,7 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .canon import Rows, canonical_rows, leaf_certificate
 from .errors import CapabilityError, InputError
@@ -120,27 +124,61 @@ def _cycle(size: int) -> list[int]:
     return [1 << (v - 1) % size | 1 << (v + 1) % size for v in range(size)]
 
 
+def _edge_window(spec: EnumerationSpec, size: int) -> tuple[int, int]:
+    """The edge counts from which a graph on ``size`` vertices can still grow into ``spec``.
+
+    With ``spec.m`` fixed, a graph on k vertices with e edges loses at most
+    floor(2e/k) edges with a vertex of minimum degree, and e - floor(2e/k)
+    never falls as e grows, so the window's floor is m stepped down that way
+    from ``spec.n`` to ``size``.  The window always holds m itself.
+    """
+    if spec.m is None:
+        return 0, size * (size - 1) // 2
+    low = spec.m
+    for k in range(spec.n, size, -1):
+        low -= 2 * low // k
+    return low, spec.m
+
+
+def _min_degree_masks(
+    parent: Rows, by_count: list[list[int]], low: int, high: int
+) -> Iterator[int]:
+    """Masks giving a child with ``low``..``high`` edges whose new vertex has minimum degree."""
+    degrees = [r.bit_count() for r in parent]
+    least = min(degrees)
+    edges = sum(degrees) // 2
+    # with least + 1 neighbours the new vertex must also join every vertex of degree least
+    minimal = sum(1 << u for u, d in enumerate(degrees) if d == least)
+    for count in range(max(low - edges, 0), min(high - edges, least + 1) + 1):
+        for mask in by_count[count]:
+            if count <= least or mask & minimal == minimal:
+                yield mask
+
+
 def _children(
     parents: list[Rows], size: int, spec: EnumerationSpec, last: bool
 ) -> dict[str, Rows]:
     """Canonical children on ``size`` vertices of the representatives ``parents``.
 
-    On the last size a fixed ``spec.m`` admits only masks of size m - m(parent),
-    and only the children that ``spec`` keeps are canonicalised.
+    A whole-range child is built only when its new vertex has minimum degree
+    and its edge count lies in :func:`_edge_window`; on the last size only the
+    children that ``spec`` keeps are canonicalised.
     """
     sparse = spec.population != "all"
-    masks = [1 << v for v in range(size - 1)] if sparse else range(1 << (size - 1))
     bit = 1 << (size - 1)
+    if sparse:
+        leaves = [1 << v for v in range(size - 1)]
+    else:
+        by_count: list[list[int]] = [[] for _ in range(size)]
+        for mask in range(bit):
+            by_count[mask.bit_count()].append(mask)
+        window = _edge_window(spec, size)
     classes: dict[str, Rows] = {}
     labels: dict[Rows, int] = {}
     seen: set[Rows] = set()
     for parent in parents:
-        need = None
-        if last and spec.m is not None:
-            need = spec.m - sum(r.bit_count() for r in parent) // 2
+        masks = leaves if sparse else _min_degree_masks(parent, by_count, *window)
         for mask in masks:
-            if need is not None and mask.bit_count() != need:
-                continue
             rows = [*parent, mask]
             rest = mask
             while rest:
@@ -163,6 +201,8 @@ def _last_size(reps: list[Rows], spec: EnumerationSpec, workers: int) -> dict[st
     workers = min(workers, len(reps))
     if workers <= 1:
         return _children(reps, spec.n, spec, True)
+    from multiprocessing import Pool  # only here: importing it costs every command start-up time
+
     chunks = [(reps[i::workers], spec.n, spec, True) for i in range(workers)]
     with Pool(workers) as pool:
         parts = pool.starmap(_children, chunks)

@@ -350,10 +350,31 @@ class TestExitContract:
         out = capsys.readouterr().out
         assert "VIOLATION" in out
 
+    def test_closed_stdout_exit_141(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "graphirr", "extremal", "--n", "6", "--m", "12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # long before start-up ends, so the first write fails
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err
+
 
 class TestRuntimeDependencies:
     def test_cli_import_does_not_load_numpy(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = "import graphirr.cli, sys; assert 'numpy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_cli_import_does_not_load_multiprocessing(self):
+        # only a run with more than one worker needs the pool
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import graphirr.cli, sys; assert 'multiprocessing' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -2,6 +2,7 @@ import logging
 import math
 import os
 import stat
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 
@@ -110,6 +111,11 @@ class TestCounts:
         connected = [c for c in all_n8 if is_connected(parse_graph6(c))]
         assert len(connected) == CONNECTED_BY_N[8]
 
+    @pytest.mark.slow
+    def test_burnside_cross_check_n8(self, all_n8):
+        per_m = Counter(parse_graph6(code).m for code in all_n8)
+        assert [per_m[m] for m in range(29)] == [burnside_graph_count(8, m) for m in range(29)]
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_same_classes_as_graph_atlas(self, n, atlas_codes):
         assert enumerate_range([EnumerationSpec(n=n)])[0] == sorted(atlas_codes[n])
@@ -215,15 +221,27 @@ class TestUnicyclic:
 class TestRange:
     @pytest.mark.parametrize(
         "population, max_n, connected, calls",
-        [("trees", 12, False, 986), ("unicyclic", 10, False, 1040), ("all", 6, True, 1028)],
+        [
+            ("trees", 12, False, 986),
+            ("unicyclic", 10, False, 1040),
+            ("all", 6, True, 389),
+            ("all", 7, False, 3131),
+        ],
     )
     def test_one_growth_serves_the_range(self, monkeypatch, population, max_n, connected, calls):
         specs = range_specs(population, max_n, connected_only=connected)
         counted = count_canonicalisations(monkeypatch)
         lists = enumerate_range(specs)
         assert counted[0] == calls
-        oracle = {"trees": TREES_BY_N, "unicyclic": UNICYCLIC_BY_N, "all": CONNECTED_BY_N}
+        whole = CONNECTED_BY_N if connected else ALL_BY_N
+        oracle = {"trees": TREES_BY_N, "unicyclic": UNICYCLIC_BY_N, "all": whole}
         assert [len(codes) for codes in lists] == [oracle[population][s.n] for s in specs]
+
+    def test_fixed_m_grows_only_its_edge_window(self, monkeypatch):
+        counted = count_canonicalisations(monkeypatch)
+        codes = enumerate_range([EnumerationSpec(n=7, m=11, connected_only=True)])[0]
+        assert counted[0] == 577
+        assert len(codes) == 138
 
     @pytest.mark.parametrize(
         "fields, max_n",
@@ -312,6 +330,8 @@ class TestDeterminismAndFilters:
     def test_workers_do_not_change_output(self):
         for spec, workers in [
             (EnumerationSpec(n=6, m=10, connected_only=True), 3),
+            (EnumerationSpec(n=7, m=11, connected_only=True), 2),
+            (EnumerationSpec(n=7, m=11, connected_only=True), 3),
             (EnumerationSpec(n=5), 2),
             (EnumerationSpec(n=7, population="trees"), 2),
             (EnumerationSpec(n=6, population="unicyclic"), 2),
