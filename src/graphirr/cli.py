@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -66,28 +65,6 @@ EXIT_CAPABILITY = 3
 EXIT_BROKEN_PIPE = 141
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed options shared by the population-driven subcommands."""
-
-    workers: int = 1
-    cache_dir: Optional[str] = None
-    out: Optional[str] = None
-    csv: Optional[str] = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(
-            workers=getattr(args, "workers", 1),
-            cache_dir=getattr(args, "cache_dir", None),
-            out=getattr(args, "out", None),
-            csv=getattr(args, "csv", None),
-        )
-        if cfg.workers < 1:
-            raise InputError("--workers must be positive")
-        return cfg
-
-
 def _fmt(q) -> str:
     text = fraction_text(q)
     if q.denominator == 1:
@@ -97,12 +74,14 @@ def _fmt(q) -> str:
 
 def _read_input(arg: str) -> Graph:
     if arg == "-":
-        return parse_graph(sys.stdin.read())
-    try:
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {arg}: {exc}") from None
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {arg}: {exc}") from None
+    _check_edge_list_size(text)
     return parse_graph(text)
 
 
@@ -158,7 +137,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     print(f"n={g.n} m={st.edge_count}")
     print("degrees:", " ".join(map(str, sorted(st.degrees, reverse=True))))
     hist = " ".join(f"{d}:{c}" for d, c in sorted(st.histogram.items()))
-    print(f"degree_set: {{{', '.join(map(str, st.degree_set))}}}  counts: {hist}  q={st.universal_count}")
+    degree_set = ", ".join(map(str, st.degree_set))
+    print(f"degree_set: {{{degree_set}}}  counts: {hist}  q={st.universal_count}")
     labels = []
     if cls.is_regular:
         labels.append("regular")
@@ -217,9 +197,11 @@ _FAMILIES = {
     "wheel": (1, lambda n: (n, 2 * (n - 1)), wheel),
     "cs": (2, lambda n, k: (n, k * (k - 1) // 2 + k * (n - k)), complete_split),
 }
-# Checked before anything is built.  A graph keeps one n-bit row per vertex,
-# its graph6 text has n^2/12 characters and its edge list one tuple per edge:
-# at either cap `gen` peaks at about 100 MB.
+# Checked before anything is built, by `gen` and for an edge list given to
+# `compute`.  A graph keeps one n-bit row per vertex, its graph6 text has
+# n^2/12 characters and its edge list one tuple per edge: at either cap `gen`
+# peaks at about 100 MB.  A graph6 input is held to its own size limit only,
+# as its text already grows with n^2.
 GEN_MAX_N = 5_000
 GEN_MAX_M = 500_000
 
@@ -231,12 +213,20 @@ def _int_params(params: list[str]) -> list[int]:
         raise InputError(f"family parameters must be integers, got {params}") from None
 
 
-def _check_gen_size(n: int, m: int) -> None:
-    """Refuse a family member over the caps; an invalid one is left to its constructor."""
+def _check_size(what: str, n: int, m: int) -> None:
+    """Refuse a graph over the caps; an invalid one is left to whatever builds it."""
     if n > GEN_MAX_N:
-        raise CapabilityError(f"gen capped at n={GEN_MAX_N}, got n={n}")
+        raise CapabilityError(f"{what} capped at n={GEN_MAX_N}, got n={n}")
     if n >= 1 and m > GEN_MAX_M:
-        raise CapabilityError(f"gen capped at m={GEN_MAX_M} edges, got m={m}")
+        raise CapabilityError(f"{what} capped at m={GEN_MAX_M} edges, got m={m}")
+
+
+def _check_edge_list_size(text: str) -> None:
+    """Hold an edge-list header to the caps before ``parse_graph`` builds any row."""
+    lines = text.strip().splitlines()
+    tokens = lines[0].split() if lines else []
+    if len(tokens) == 2 and all(t.isdecimal() for t in tokens):
+        _check_size("edge-list input", int(tokens[0]), int(tokens[1]))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -248,14 +238,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif fam == "multipartite":
         sizes = _int_params(args.params)
         n = sum(sizes)
-        _check_gen_size(n, (n * n - sum(s * s for s in sizes)) // 2)
+        _check_size("gen", n, (n * n - sum(s * s for s in sizes)) // 2)
         g = complete_multipartite(sizes)
     elif fam in _FAMILIES:
         arity, size, build = _FAMILIES[fam]
         if len(args.params) != arity:
             raise InputError(f"family {fam!r} takes {arity} integer parameter(s)")
         params = _int_params(args.params)
-        _check_gen_size(*size(*params))
+        _check_size("gen", *size(*params))
         g = build(*params)
     else:
         raise InputError(f"unknown family {fam!r}")
@@ -283,8 +273,7 @@ def _enum_spec(args: argparse.Namespace) -> EnumerationSpec:
 
 def _cmd_enum(args: argparse.Namespace) -> int:
     spec = _enum_spec(args)
-    cfg = RunConfig.from_args(args)
-    codes = enumerate_codes_cached(spec, workers=cfg.workers, cache_dir=cfg.cache_dir)
+    codes = enumerate_codes_cached(spec, workers=args.workers, cache_dir=args.cache_dir)
     if args.count:
         print(len(codes))
     else:
@@ -293,7 +282,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_reports(reports, cfg: RunConfig) -> int:
+def _emit_reports(reports, out: Optional[str] = None, csv: Optional[str] = None) -> int:
     for rep in reports:
         print(
             f"suite={rep.suite_id} checked={rep.graphs_checked}"
@@ -308,20 +297,21 @@ def _emit_reports(reports, cfg: RunConfig) -> int:
             print(f"  equality {e.check} on {e.graph}")
         if len(rep.equalities) > 10:
             print(f"  ... {len(rep.equalities) - 10} further equality cases")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             docs = [report_json(r, include_timing=False) for r in reports]
             json.dump(docs, fh, indent=2, sort_keys=True)
-        print(f"wrote {cfg.out}")
-    if cfg.csv:
+        print(f"wrote {out}")
+    if csv:
         lines = ["suite,checked,violations,findings,equalities"]
         lines += [
-            f"{r.suite_id},{r.graphs_checked},{len(r.violations)},{len(r.findings)},{len(r.equalities)}"
+            f"{r.suite_id},{r.graphs_checked},{len(r.violations)},"
+            f"{len(r.findings)},{len(r.equalities)}"
             for r in reports
         ]
-        with open(cfg.csv, "w", encoding="utf-8") as fh:
+        with open(csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        print(f"wrote {cfg.csv}")
+        print(f"wrote {csv}")
     return EXIT_VIOLATIONS if any(r.violations for r in reports) else EXIT_OK
 
 
@@ -330,31 +320,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         specs = range_specs("all", args.max_n, connected_only=args.connected)
     else:
         specs = range_specs(args.population, args.max_n)
-    cfg = RunConfig.from_args(args)
     if args.suite == "all":
-        reports = run_all_suites(specs, workers=cfg.workers, cache_dir=cfg.cache_dir)
+        reports = run_all_suites(specs, workers=args.workers, cache_dir=args.cache_dir)
     else:
         reports = [
-            run_suite(specs, args.suite, workers=cfg.workers, cache_dir=cfg.cache_dir)
+            run_suite(specs, args.suite, workers=args.workers, cache_dir=args.cache_dir)
         ]
-    return _emit_reports(reports, cfg)
+    return _emit_reports(reports, args.out, args.csv)
 
 
 def _cmd_conjectures(args: argparse.Namespace) -> int:
     specs = range_specs("all", args.max_n, connected_only=not args.include_disconnected)
-    cfg = RunConfig.from_args(args)
     reports = [
-        check_deviation_conjecture(specs, workers=cfg.workers, cache_dir=cfg.cache_dir),
-        check_omega_conjecture(specs, workers=cfg.workers, cache_dir=cfg.cache_dir),
+        check_deviation_conjecture(specs, workers=args.workers, cache_dir=args.cache_dir),
+        check_omega_conjecture(specs, workers=args.workers, cache_dir=args.cache_dir),
     ]
-    return _emit_reports(reports, cfg)
+    return _emit_reports(reports, args.out)
 
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    result = extremal_search(
-        args.n, args.m, workers=cfg.workers, cache_dir=cfg.cache_dir
-    )
+    result = extremal_search(args.n, args.m, workers=args.workers, cache_dir=args.cache_dir)
 
     def _names(codes):
         out = []
@@ -367,7 +352,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     print(f"max S = {_fmt(result.max_s)} attained by: {_names(result.max_s_graphs)}")
     print(f"max Var = {_fmt(result.max_var)} attained by: {_names(result.max_var_graphs)}")
     print(f"coincide: {'true' if result.coincide else 'false'}")
-    if cfg.out:
+    if args.out:
         doc = {
             "n": result.n,
             "m": result.m,
@@ -377,9 +362,9 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
             "max_var_graphs": list(result.max_var_graphs),
             "coincide": result.coincide,
         }
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 

@@ -272,7 +272,9 @@ def range_specs(
     """One spec per order from the population's smallest to ``max_n``; none is an error."""
     name, low, _ = _N_RANGE[population]
     if max_n < low:
-        raise InputError(f"{name} enumeration up to n={max_n} is empty: the smallest order is {low}")
+        raise InputError(
+            f"{name} enumeration up to n={max_n} is empty: the smallest order is {low}"
+        )
     return [
         EnumerationSpec(n=k, connected_only=connected_only, population=population)
         for k in range(low, max_n + 1)

@@ -16,6 +16,10 @@ those share a :class:`GraphContext` in everything but ``g`` and the labelled
 ``stats.degrees``; ``verify`` evaluates them once per such degree profile.
 The two-walk fit in ``spectral`` reads neighbour-degree sums and is the only
 check made per graph.
+
+Each bound is reported by ``verify``'s ``bounds`` suite alone; its equality
+case may stand for a closed form (on bidegreed graphs ``var_le_product_bound``
+is tight, with right side Nmax*Nmin*(D-d)^2/n^2).
 """
 
 from __future__ import annotations

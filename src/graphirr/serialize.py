@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Any
@@ -50,6 +49,3 @@ def report_json(report: Any, include_timing: bool = True) -> dict[str, Any]:
         data.pop("elapsed", None)
     return data
 
-
-def report_json_text(report: Any, include_timing: bool = True) -> str:
-    return json.dumps(report_json(report, include_timing), indent=2, sort_keys=True)

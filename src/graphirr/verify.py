@@ -9,11 +9,14 @@ A suite walks a population of isomorphism-class representatives and records
 * equalities -- informational list of equality cases.
 
 Every check but one reads only a graph's degree profile: its order, sorted
-degrees and connectivity.  The population is grouped by profile and each
-profile gets one context, so the degree-only suites and both conjecture scans
-evaluate a profile once and report the outcome under every code in it.  The
-two-walk fit of the ``spectral`` suite reads neighbour-degree sums, which the
-degrees do not determine, and is the only check made per graph.
+degrees and connectivity.  The population is grouped by profile, each profile
+gets one context, and every report but ``spectral`` runs through the loop of
+:func:`_per_profile`, which makes the report's check once for each profile it
+applies to and records the outcome under every code in it.  The two-walk fit
+of ``spectral`` reads neighbour-degree sums, which the degrees do not
+determine, and is the only check made per graph.  No suite restates a check
+that another makes on the same graphs, except ``balanced``, whose two
+identities are equality cases of ``s_le_irr`` and ``s_sq_le_n_sq_var``.
 
 Reports are deterministic: all outcome lists are sorted by graph code before
 packaging, so grouping, worker count and scheduling cannot change the result.
@@ -22,18 +25,17 @@ packaging, so grouping, worker count and scheduling cannot change the result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .canon import canonical_code
-from .enumeration import EnumerationSpec, enumerate_codes_cached, enumerate_range_cached
+from .enumeration import EnumerationSpec, enumerate_range_cached
 from .errors import InputError
 from .families import complete_split
 from .graph import Graph, is_connected
 from .io import parse_graph6
 from .measures import (
-    _BOUNDS,
     AMBIGUOUS_BOUNDS,
     BOUND_IDS,
     CONDITION_MISMATCH,
@@ -42,7 +44,6 @@ from .measures import (
     _branch_weight,
     _cyclic_range,
     _degrees_within_extremes_or_mean,
-    _evaluate,
     bound_report,
     context,
     cyclic_formulas,
@@ -96,41 +97,34 @@ class VerificationReport:
 
 
 class _Outcome:
-    """Outcomes of one suite; each is recorded once for every code in ``codes``."""
+    """Outcomes of one report; each is recorded once for every code in ``codes``.
+
+    The loop that runs a check sets ``codes`` to the graphs the check is about.
+    """
 
     def __init__(self) -> None:
         self.checked = 0
+        self.codes: Sequence[str] = ()
         self.violations: list[Violation] = []
         self.findings: list[Finding] = []
         self.equalities: list[EqualityCase] = []
 
-    def expect(
-        self,
-        codes: Sequence[str],
-        check: str,
-        ok: bool,
-        lhs: Fraction,
-        rhs: Fraction,
-        note: str = "",
-    ) -> None:
+    def expect(self, check: str, ok: bool, lhs: Fraction, rhs: Fraction, note: str = "") -> None:
         if not ok:
             lhs_text, rhs_text = fraction_text(lhs), fraction_text(rhs)
-            self.violations += (Violation(c, check, lhs_text, rhs_text, note) for c in codes)
+            self.violations += (Violation(c, check, lhs_text, rhs_text, note) for c in self.codes)
 
-    def expect_eq(
-        self, codes: Sequence[str], check: str, lhs: Fraction, rhs: Fraction, note: str = ""
-    ) -> None:
-        self.expect(codes, check, lhs == rhs, lhs, rhs, note)
+    def expect_eq(self, check: str, lhs: Fraction, rhs: Fraction) -> None:
+        self.expect(check, lhs == rhs, lhs, rhs)
 
-    def find(self, codes: Sequence[str], check: str, note: str) -> None:
-        self.findings += (Finding(c, check, note) for c in codes)
+    def find(self, check: str, note: str) -> None:
+        self.findings += (Finding(c, check, note) for c in self.codes)
 
-    def equal(self, codes: Sequence[str], check: str) -> None:
-        self.equalities += (EqualityCase(c, check) for c in codes)
+    def equal(self, check: str) -> None:
+        self.equalities += (EqualityCase(c, check) for c in self.codes)
 
     def expect_iff(
         self,
-        codes: Sequence[str],
         check: str,
         ok: bool,
         lhs: Fraction,
@@ -139,9 +133,8 @@ class _Outcome:
         equality_check: Optional[str] = None,
     ) -> None:
         """The inequality ``check``, and equality exactly when ``predicted``."""
-        self.expect(codes, check, ok, lhs, rhs)
+        self.expect(check, ok, lhs, rhs)
         self.expect(
-            codes,
             equality_check or check + "_equality_iff",
             (lhs == rhs) == predicted,
             lhs,
@@ -158,7 +151,7 @@ class _Profile(NamedTuple):
 
     ``ctx`` is the first graph's context.  Its degree statistics (all but the
     labelled ``degrees``), classification and measures are those of every
-    graph here, so they are all that a degree-only suite may read.
+    graph here, so they are all that a degree-only check may read.
     """
 
     codes: tuple[str, ...]
@@ -166,19 +159,13 @@ class _Profile(NamedTuple):
     ctx: GraphContext
 
 
-def _by_profile(coded: Iterable[tuple[str, Graph]]) -> list[list[tuple[str, Graph]]]:
-    """``coded`` grouped by (order, sorted degrees, connectivity), order kept."""
-    groups: dict[tuple, list[tuple[str, Graph]]] = {}
-    for code, g in coded:
-        key = (g.n, tuple(sorted(g.degrees())), is_connected(g))
-        groups.setdefault(key, []).append((code, g))
-    return list(groups.values())
-
-
 def _materialise(
     population: Population, workers: int, cache_dir: Optional[str]
 ) -> tuple[list[_Profile], str]:
-    """The population's graphs by degree profile, with one context per profile."""
+    """The population's graphs grouped by (order, sorted degrees, connectivity).
+
+    Each group keeps the order its graphs came in and gets one context.
+    """
     if isinstance(population, EnumerationSpec):
         population = [population]
     population = list(population)
@@ -191,230 +178,171 @@ def _materialise(
         desc = f"explicit list of {len(coded)} graphs"
     if not coded:
         raise InputError(f"empty population ({desc}): there is nothing to check")
+    groups: dict[tuple, list[tuple[str, Graph]]] = {}
+    for code, g in coded:
+        key = (g.n, tuple(sorted(g.degrees())), is_connected(g))
+        groups.setdefault(key, []).append((code, g))
     profiles = []
-    for group in _by_profile(coded):
+    for group in groups.values():
         codes, graphs = zip(*group)
         profiles.append(_Profile(codes, graphs, context(graphs[0])))
     return profiles, desc
 
 
-# --- individual suites ------------------------------------------------------
+# --- degree-only checks, each made once for a profile -----------------------
 
 
-def _suite_bounds(profiles: list[_Profile], only: Optional[str] = None) -> _Outcome:
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        out.checked += len(codes)
-        for rec in bound_report(ctx.g, ctx):
-            if only is not None and rec.bound_id != only:
-                continue
-            if rec.agreement == NOT_APPLICABLE:
-                continue
-            out.expect(
-                codes, rec.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed"
-            )
-            if rec.agreement == CONDITION_MISMATCH:
-                note = (
-                    "equality observed without the documented condition"
-                    if rec.is_equality
-                    else "documented equality condition held strictly"
-                )
-                if rec.bound_id in AMBIGUOUS_BOUNDS:
-                    out.find(codes, rec.bound_id, note)
-                else:
-                    out.expect(codes, rec.bound_id, False, rec.lhs, rec.rhs, note)
-    return out
-
-
-def _suite_bidegreed(profiles: list[_Profile]) -> _Outcome:
-    """Exact relations tying S, IRD and Var together on two-degree graphs."""
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        if not (ctx.cls.is_connected and ctx.cls.is_bidegreed):
+def _check_bounds(out: _Outcome, ctx: GraphContext) -> None:
+    for rec in bound_report(ctx.g, ctx):
+        if rec.agreement == NOT_APPLICABLE:
             continue
-        out.checked += len(codes)
-        ms = ctx.ms
-        out.expect_eq(codes, "s_eq_ird", ms.s, ms.ird)
-        out.expect_eq(codes, "two_n_var_eq_gap_s", 2 * ctx.n * ms.var, ctx.gap * ms.s)
-        closed = Fraction(ctx.n_max * ctx.n_min * ctx.gap**2, ctx.n**2)
-        out.expect_eq(codes, "var_product_closed_form", ms.var, closed)
-    return out
+        out.expect(rec.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed")
+        if rec.agreement == CONDITION_MISMATCH:
+            note = (
+                "equality observed without the documented condition"
+                if rec.is_equality
+                else "documented equality condition held strictly"
+            )
+            if rec.bound_id in AMBIGUOUS_BOUNDS:
+                out.find(rec.bound_id, note)
+            else:
+                out.expect(rec.bound_id, False, rec.lhs, rec.rhs, note)
 
 
-def _suite_balanced(profiles: list[_Profile]) -> _Outcome:
+def _check_bidegreed(out: _Outcome, ctx: GraphContext) -> None:
+    """S equals IRD on two-degree graphs (Var = gap*S/(2n) is ``omega_gap_ratio``)."""
+    out.expect_eq("s_eq_ird", ctx.ms.s, ctx.ms.ird)
+
+
+def _check_balanced(out: _Outcome, ctx: GraphContext) -> None:
     """Balanced bidegreed graphs: S equals IRR and n^2 Var equals S^2."""
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        if not (ctx.cls.is_connected and ctx.cls.is_balanced_bidegreed):
-            continue
-        out.checked += len(codes)
-        out.expect_eq(codes, "s_eq_irr", ctx.ms.s, ctx.ms.irr)
-        out.expect_eq(
-            codes, "n_sq_var_eq_s_sq", ctx.n**2 * ctx.ms.var, ctx.ms.s**2
-        )
-    return out
+    out.expect_eq("s_eq_irr", ctx.ms.s, ctx.ms.irr)
+    out.expect_eq("n_sq_var_eq_s_sq", ctx.n**2 * ctx.ms.var, ctx.ms.s**2)
 
 
-def _suite_degree_counts(profiles: list[_Profile]) -> _Outcome:
+def _check_degree_counts(out: _Outcome, ctx: GraphContext) -> None:
     """Pendant/degree-2 counts from the cycle rank and higher-degree census."""
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        if not ctx.cls.is_connected or ctx.n < 2:
-            continue
-        out.checked += len(codes)
-        hist = ctx.stats.histogram
-        c = ctx.cls.cyclomatic or 0
-        bw = _branch_weight(hist)
-        n_high = sum(cnt for d, cnt in hist.items() if d >= 3)
-        out.expect_eq(
-            codes, "pendant_count", Fraction(hist.get(1, 0)), Fraction(2 - 2 * c + bw)
-        )
-        out.expect_eq(
-            codes,
-            "degree_two_count",
-            Fraction(hist.get(2, 0)),
-            Fraction(2 * c + ctx.n - 2 - bw - n_high),
-        )
-    return out
+    hist = ctx.stats.histogram
+    c = ctx.cls.cyclomatic or 0
+    bw = _branch_weight(hist)
+    n_high = sum(cnt for d, cnt in hist.items() if d >= 3)
+    out.expect_eq("pendant_count", Fraction(hist.get(1, 0)), Fraction(2 - 2 * c + bw))
+    out.expect_eq(
+        "degree_two_count",
+        Fraction(hist.get(2, 0)),
+        Fraction(2 * c + ctx.n - 2 - bw - n_high),
+    )
 
 
-def _is_path_graph(ctx: GraphContext) -> bool:
-    return ctx.cls.is_tree and ctx.stats.max_degree <= 2
+def _check_trees(out: _Outcome, ctx: GraphContext) -> None:
+    ms = ctx.ms
+    tf = tree_formulas(ctx.g, ctx)
+    out.expect_eq("tree_s_closed", tf.s_closed, ms.s)
+    out.expect_eq("tree_var_closed", tf.var_closed, ms.var)
+    out.expect_eq("tree_irr_closed", tf.irr_closed, ms.irr)
+    out.expect_eq("tree_s_from_pendants", tf.n1_based_s, ms.s)
+
+    is_path = ctx.stats.max_degree <= 2
+    n = ctx.n
+    out.expect_iff("tree_s_floor", ms.s >= tf.s_floor, ms.s, tf.s_floor, is_path)
+    out.expect_iff("tree_var_floor", ms.var >= tf.var_floor, ms.var, tf.var_floor, is_path)
+    if n >= 3:
+        half_n = Fraction(n, 2)
+        out.expect_iff("tree_irr_floor", ms.irr >= half_n, ms.irr, half_n, is_path)
+
+    # IRD bracketed by the branch-weight bounds, tight iff no middle degrees
+    no_mid = all(d in (1, 2, ctx.stats.max_degree) for d in ctx.stats.degree_set)
+    out.expect_iff("tree_ird_upper", ms.ird <= tf.ird_upper, ms.ird, tf.ird_upper, no_mid)
+    out.expect_iff("tree_ird_lower", ms.ird >= tf.ird_lower, ms.ird, tf.ird_lower, no_mid)
+
+    # mean-relative identity: Var - S/(2n) is a weighted branch sum, >= 0
+    gap_val = ms.var - ms.s / (2 * n)
+    out.expect_eq("tree_var_s_gap_identity", gap_val, tf.var_s_gap)
+    out.expect_iff(
+        "tree_var_s_gap_sign",
+        gap_val >= 0,
+        gap_val,
+        Fraction(0),
+        is_path,
+        "tree_var_s_gap_equality_iff",
+    )
+    if n >= 4:
+        assert ms.omega is not None
+        floor = Fraction(1, 2 * n)
+        out.expect_iff("tree_omega_floor", ms.omega >= floor, ms.omega, floor, is_path)
+    if n >= 3:
+        out.expect_iff("tree_s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird, ctx.cls.is_bidegreed)
 
 
-def _suite_trees(profiles: list[_Profile]) -> _Outcome:
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        if not ctx.cls.is_tree or ctx.n < 2:
-            continue
-        out.checked += len(codes)
-        ms = ctx.ms
-        tf = tree_formulas(ctx.g, ctx)
-        out.expect_eq(codes, "tree_s_closed", tf.s_closed, ms.s)
-        out.expect_eq(codes, "tree_var_closed", tf.var_closed, ms.var)
-        out.expect_eq(codes, "tree_irr_closed", tf.irr_closed, ms.irr)
-        out.expect_eq(codes, "tree_s_from_pendants", tf.n1_based_s, ms.s)
-
-        is_path = _is_path_graph(ctx)
-        n = ctx.n
+def _check_cyclic(out: _Outcome, ctx: GraphContext) -> None:
+    """Closed forms for cycle rank 1..(n+2)/2; their two bounds are ``bounds`` entries."""
+    ms = ctx.ms
+    cf = cyclic_formulas(ctx.g, ctx)
+    out.expect_eq("cyclic_s_closed", cf.s_closed, ms.s)
+    out.expect_eq("cyclic_var_closed", cf.var_closed, ms.var)
+    if not ctx.cls.is_unicyclic:
+        return
+    assert cf.unicyclic_s is not None and cf.unicyclic_residue is not None
+    out.expect_eq("unicyclic_s_eq_2n1", cf.unicyclic_s, ms.s)
+    out.expect_eq("unicyclic_nvar_minus_s", ctx.n * ms.var - ms.s, cf.unicyclic_residue)
+    if not ctx.cls.is_regular:
+        assert ms.omega is not None
+        floor = Fraction(1, ctx.n)
+        within_123 = all(d <= 3 for d in ctx.stats.degree_set)
         out.expect_iff(
-            codes, "tree_s_floor", ms.s >= tf.s_floor, ms.s, tf.s_floor, is_path
-        )
-        out.expect_iff(
-            codes,
-            "tree_var_floor",
-            ms.var >= tf.var_floor,
-            ms.var,
-            tf.var_floor,
-            is_path,
-        )
-        if n >= 3:
-            half_n = Fraction(n, 2)
-            out.expect_iff(
-                codes, "tree_irr_floor", ms.irr >= half_n, ms.irr, half_n, is_path
-            )
-
-        # IRD bracketed by the branch-weight bounds, tight iff no middle degrees
-        no_mid = all(d in (1, 2, ctx.stats.max_degree) for d in ctx.stats.degree_set)
-        out.expect_iff(
-            codes, "tree_ird_upper", ms.ird <= tf.ird_upper, ms.ird, tf.ird_upper, no_mid
-        )
-        out.expect_iff(
-            codes, "tree_ird_lower", ms.ird >= tf.ird_lower, ms.ird, tf.ird_lower, no_mid
+            "unicyclic_omega_floor", ms.omega >= floor, ms.omega, floor, within_123
         )
 
-        # mean-relative identity: Var - S/(2n) is a weighted branch sum, >= 0
-        gap_val = ms.var - ms.s / (2 * n)
-        out.expect_eq(codes, "tree_var_s_gap_identity", gap_val, tf.var_s_gap)
-        out.expect_iff(
-            codes,
-            "tree_var_s_gap_sign",
-            gap_val >= 0,
-            gap_val,
-            Fraction(0),
-            is_path,
-            "tree_var_s_gap_equality_iff",
-        )
-        if n >= 4:
-            assert ms.omega is not None
-            floor = Fraction(1, 2 * n)
-            out.expect_iff(
-                codes, "tree_omega_floor", ms.omega >= floor, ms.omega, floor, is_path
-            )
-        if n >= 3:
-            out.expect_iff(
-                codes,
-                "tree_s_ge_ird",
-                ms.s >= ms.ird,
-                ms.s,
-                ms.ird,
-                ctx.cls.is_bidegreed,
-            )
-    return out
 
-
-_BOUND_DEFS = {b.bound_id: b for b in _BOUNDS}
-
-
-def _suite_cyclic(profiles: list[_Profile]) -> _Outcome:
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        if not _cyclic_range(ctx):
-            continue
-        out.checked += len(codes)
-        ms = ctx.ms
-        cf = cyclic_formulas(ctx.g, ctx)
-        out.expect_eq(codes, "cyclic_s_closed", cf.s_closed, ms.s)
-        out.expect_eq(codes, "cyclic_var_closed", cf.var_closed, ms.var)
-        if ctx.cls.is_unicyclic:
-            assert cf.unicyclic_s is not None and cf.unicyclic_residue is not None
-            out.expect_eq(codes, "unicyclic_s_eq_2n1", cf.unicyclic_s, ms.s)
-            nvar_minus_s = ctx.n * ms.var - ms.s
-            out.expect_eq(
-                codes, "unicyclic_nvar_minus_s", nvar_minus_s, cf.unicyclic_residue
-            )
-            if not ctx.cls.is_regular:
-                assert ms.omega is not None
-                floor = Fraction(1, ctx.n)
-                within_123 = all(d <= 3 for d in ctx.stats.degree_set)
-                out.expect_iff(
-                    codes,
-                    "unicyclic_omega_floor",
-                    ms.omega >= floor,
-                    ms.omega,
-                    floor,
-                    within_123,
-                )
-        # two bounds of the suite, reported under this suite's check names
-        rec = _evaluate(_BOUND_DEFS["omega_ge_cyclic_floor"], ctx)
-        out.expect(codes, "cyclic_omega_floor", rec.holds, rec.lhs, rec.rhs)
-        rec = _evaluate(_BOUND_DEFS["s_le_pendant_cyclic_cap"], ctx)
-        out.expect_iff(
-            codes,
-            "pendant_cyclic_cap",
-            rec.holds,
-            rec.lhs,
-            rec.rhs,
-            rec.predicted_equality,
-        )
-    return out
-
-
-def _suite_omega(profiles: list[_Profile]) -> _Outcome:
+def _check_omega(out: _Outcome, ctx: GraphContext) -> None:
     """Var/S of a bidegreed graph depends only on n and the degree gap."""
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        if not (ctx.cls.is_connected and ctx.cls.is_bidegreed):
-            continue
-        out.checked += len(codes)
-        assert ctx.ms.omega is not None
-        expected = Fraction(ctx.gap, 2 * ctx.n)
-        out.expect_eq(codes, "omega_gap_ratio", ctx.ms.omega, expected)
-        if ctx.gap == 1:
-            out.expect_eq(
-                codes, "omega_unit_gap", ctx.ms.omega, Fraction(1, 2 * ctx.n)
-            )
-    return out
+    assert ctx.ms.omega is not None
+    out.expect_eq("omega_gap_ratio", ctx.ms.omega, Fraction(ctx.gap, 2 * ctx.n))
+
+
+def _check_deviation_conjecture(out: _Outcome, ctx: GraphContext) -> None:
+    ms = ctx.ms
+    second_rhs = ms.irr * ms.ird / Fraction(ctx.n**2)
+    out.expect("s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird)
+    out.expect("var_ge_irr_ird", ms.var >= second_rhs, ms.var, second_rhs)
+    predicted = _degrees_within_extremes_or_mean(ctx)
+    for check, equal in (("s_eq_ird", ms.s == ms.ird), ("var_eq_irr_ird", ms.var == second_rhs)):
+        if equal:
+            out.equal(check)
+        if equal != predicted:
+            out.find(check, "equality pattern disagrees with the degree-set condition")
+
+
+def _check_omega_conjecture(out: _Outcome, ctx: GraphContext) -> None:
+    lhs = 2 * ctx.n * ctx.ms.var
+    out.expect("two_n_var_ge_s", lhs >= ctx.ms.s, lhs, ctx.ms.s)
+    if lhs == ctx.ms.s:
+        out.equal("omega_floor")
+        if not (ctx.cls.is_bidegreed and ctx.gap == 1):
+            out.find("omega_floor", "equality outside the unit-gap bidegreed family")
+
+
+_Run = Callable[[list[_Profile]], _Outcome]
+
+
+def _per_profile(
+    applies: Callable[[GraphContext], bool], check: Callable[[_Outcome, GraphContext], None]
+) -> _Run:
+    """A degree-only report: ``check`` made once for each profile that ``applies`` to."""
+
+    def run(profiles: list[_Profile]) -> _Outcome:
+        out = _Outcome()
+        for profile in profiles:
+            if applies(profile.ctx):
+                out.checked += len(profile.codes)
+                out.codes = profile.codes
+                check(out, profile.ctx)
+        return out
+
+    return run
+
+
+# --- the per-graph suite and the per-order maximum --------------------------
 
 
 def _suite_spectral(profiles: list[_Profile]) -> _Outcome:
@@ -428,25 +356,14 @@ def _suite_spectral(profiles: list[_Profile]) -> _Outcome:
             if params is None:
                 continue
             out.checked += 1
-            one = (code,)
-            out.expect(
-                one,
-                "two_walk_integral",
-                params.a >= 0,
-                Fraction(params.a),
-                Fraction(0),
-            )
+            out.codes = (code,)
+            out.expect("two_walk_integral", params.a >= 0, Fraction(params.a), Fraction(0))
             ident = variance_spectral_identity(g, ctx, params)
             out.expect(
-                one,
-                "two_walk_var_identity",
-                ident.matches,
-                ident.var_via_params,
-                ctx.ms.var,
+                "two_walk_var_identity", ident.matches, ident.var_via_params, ctx.ms.var
             )
             holds, disc, square = two_walk_radius_test(params, ctx.stats.min_degree)
             out.expect(
-                one,
                 "two_walk_radius",
                 holds,
                 Fraction(disc),
@@ -462,42 +379,81 @@ def _suite_max_zagreb_universal(profiles: list[_Profile]) -> _Outcome:
     Meaningful only when the population contains, for each order present,
     every connected irregular graph of that order.
     """
-    out = _Outcome()
-    by_n: dict[int, list[_Profile]] = {}
-    for p in profiles:
-        if p.ctx.cls.is_regular or not p.ctx.cls.is_connected:
-            continue
-        by_n.setdefault(p.ctx.n, []).append(p)
-    for n, items in sorted(by_n.items()):
-        top = max(p.ctx.ms.m1 for p in items)
-        for codes, _, ctx in items:
-            if ctx.ms.m1 != top:
-                continue
-            out.checked += len(codes)
-            out.expect(
-                codes,
-                "max_zagreb_has_universal",
-                ctx.stats.universal_count >= 1,
-                ctx.ms.m1,
-                top,
-                f"max first Zagreb index among irregular graphs on {n} vertices",
-            )
-    return out
+
+    def irregular(c: GraphContext) -> bool:
+        return c.cls.is_connected and not c.cls.is_regular
+
+    top: dict[int, Fraction] = {}  # the largest M1 of each order
+    for ctx in (p.ctx for p in profiles if irregular(p.ctx)):
+        top[ctx.n] = max(top.get(ctx.n, ctx.ms.m1), ctx.ms.m1)
+
+    def check(out: _Outcome, ctx: GraphContext) -> None:
+        out.expect(
+            "max_zagreb_has_universal",
+            ctx.stats.universal_count >= 1,
+            ctx.ms.m1,
+            top[ctx.n],
+            f"max first Zagreb index among irregular graphs on {ctx.n} vertices",
+        )
+
+    return _per_profile(lambda c: irregular(c) and c.ms.m1 == top[c.n], check)(profiles)
 
 
-_SUITES: dict[str, Callable[[list[_Profile]], _Outcome]] = {
-    "bounds": _suite_bounds,
-    "bidegreed": _suite_bidegreed,
-    "balanced": _suite_balanced,
-    "degree_counts": _suite_degree_counts,
-    "trees": _suite_trees,
-    "cyclic": _suite_cyclic,
-    "omega": _suite_omega,
+def _connected_bidegreed(c: GraphContext) -> bool:
+    return c.cls.is_connected and c.cls.is_bidegreed
+
+
+_SUITES: dict[str, _Run] = {
+    "bounds": _per_profile(lambda c: True, _check_bounds),
+    "bidegreed": _per_profile(_connected_bidegreed, _check_bidegreed),
+    "balanced": _per_profile(
+        lambda c: c.cls.is_connected and c.cls.is_balanced_bidegreed, _check_balanced
+    ),
+    "degree_counts": _per_profile(
+        lambda c: c.cls.is_connected and c.n >= 2, _check_degree_counts
+    ),
+    "trees": _per_profile(lambda c: c.cls.is_tree and c.n >= 2, _check_trees),
+    "cyclic": _per_profile(_cyclic_range, _check_cyclic),
+    "omega": _per_profile(_connected_bidegreed, _check_omega),
     "spectral": _suite_spectral,
     "max_zagreb_universal": _suite_max_zagreb_universal,
 }
+_SCANS: dict[str, _Run] = {
+    "conjecture-ird": _per_profile(lambda c: True, _check_deviation_conjecture),
+    "conjecture-omega": _per_profile(lambda c: not c.cls.is_regular, _check_omega_conjecture),
+}
 
 SUITE_IDS = tuple(_SUITES) + tuple(BOUND_IDS)
+
+
+def _reports(
+    population: Population,
+    report_ids: Iterable[str],
+    workers: int,
+    cache_dir: Optional[str],
+) -> list[VerificationReport]:
+    """Materialise ``population`` once, then run, time and package each report."""
+
+    def by_graph(items: list) -> tuple:
+        return tuple(sorted(items, key=lambda x: (x.graph, x.check)))
+
+    profiles, desc = _materialise(population, workers, cache_dir)
+    reports = []
+    for report_id in report_ids:
+        start = time.perf_counter()
+        out = {**_SUITES, **_SCANS}[report_id](profiles)
+        reports.append(
+            VerificationReport(
+                suite_id=report_id,
+                population=desc,
+                graphs_checked=out.checked,
+                violations=by_graph(out.violations),
+                findings=by_graph(out.findings),
+                equalities=by_graph(out.equalities),
+                elapsed=time.perf_counter() - start,
+            )
+        )
+    return reports
 
 
 def run_suite(
@@ -507,16 +463,21 @@ def run_suite(
     workers: int = 1,
     cache_dir: Optional[str] = None,
 ) -> VerificationReport:
-    """Run one suite over a population and package a deterministic report."""
+    """Run one suite over a population and package a deterministic report.
+
+    A bound id gives the ``bounds`` report cut down to that bound's outcomes.
+    """
     if suite_id not in SUITE_IDS:
         raise InputError(f"unknown suite {suite_id!r}; choose from {sorted(SUITE_IDS)}")
-    profiles, desc = _materialise(population, workers, cache_dir)
-    start = time.perf_counter()
     if suite_id in _SUITES:
-        outcome = _SUITES[suite_id](profiles)
-    else:
-        outcome = _suite_bounds(profiles, only=suite_id)
-    return _package(suite_id, desc, outcome, start)
+        return _reports(population, [suite_id], workers, cache_dir)[0]
+    (rep,) = _reports(population, ["bounds"], workers, cache_dir)
+    return replace(
+        rep,
+        suite_id=suite_id,
+        violations=tuple(v for v in rep.violations if v.check == suite_id),
+        findings=tuple(f for f in rep.findings if f.check == suite_id),
+    )
 
 
 def run_all_suites(
@@ -525,28 +486,7 @@ def run_all_suites(
     workers: int = 1,
     cache_dir: Optional[str] = None,
 ) -> list[VerificationReport]:
-    profiles, desc = _materialise(population, workers, cache_dir)
-    reports = []
-    for suite_id, fn in _SUITES.items():
-        start = time.perf_counter()
-        reports.append(_package(suite_id, desc, fn(profiles), start))
-    return reports
-
-
-def _package(
-    suite_id: str, desc: str, outcome: _Outcome, start: float
-) -> VerificationReport:
-    return VerificationReport(
-        suite_id=suite_id,
-        population=desc,
-        graphs_checked=outcome.checked,
-        violations=tuple(sorted(outcome.violations, key=lambda v: (v.graph, v.check))),
-        findings=tuple(sorted(outcome.findings, key=lambda f: (f.graph, f.check))),
-        equalities=tuple(
-            sorted(outcome.equalities, key=lambda e: (e.graph, e.check))
-        ),
-        elapsed=time.perf_counter() - start,
-    )
+    return _reports(population, _SUITES, workers, cache_dir)
 
 
 # --- conjecture scans -------------------------------------------------------
@@ -564,28 +504,7 @@ def check_deviation_conjecture(
     {min degree, average degree, max degree}; deviations from that pattern
     are reported as findings, never as violations.
     """
-    profiles, desc = _materialise(population, workers, cache_dir)
-    start = time.perf_counter()
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        out.checked += len(codes)
-        ms = ctx.ms
-        second_rhs = ms.irr * ms.ird / Fraction(ctx.n**2)
-        out.expect(codes, "s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird)
-        out.expect(
-            codes, "var_ge_irr_ird", ms.var >= second_rhs, ms.var, second_rhs
-        )
-        predicted = _degrees_within_extremes_or_mean(ctx)
-        for check, equal in (
-            ("s_eq_ird", ms.s == ms.ird),
-            ("var_eq_irr_ird", ms.var == second_rhs),
-        ):
-            if equal:
-                out.equal(codes, check)
-            if equal != predicted:
-                note = "equality pattern disagrees with the degree-set condition"
-                out.find(codes, check, note)
-    return _package("conjecture-ird", desc, out, start)
+    return _reports(population, ["conjecture-ird"], workers, cache_dir)[0]
 
 
 def check_omega_conjecture(
@@ -599,22 +518,7 @@ def check_omega_conjecture(
     Equality is expected exactly for bidegreed graphs with degree gap 1;
     other equality cases are recorded as findings.
     """
-    profiles, desc = _materialise(population, workers, cache_dir)
-    start = time.perf_counter()
-    out = _Outcome()
-    for codes, _, ctx in profiles:
-        if ctx.cls.is_regular:
-            continue
-        out.checked += len(codes)
-        lhs = 2 * ctx.n * ctx.ms.var
-        out.expect(codes, "two_n_var_ge_s", lhs >= ctx.ms.s, lhs, ctx.ms.s)
-        if lhs == ctx.ms.s:
-            out.equal(codes, "omega_floor")
-            if not (ctx.cls.is_bidegreed and ctx.gap == 1):
-                out.find(
-                    codes, "omega_floor", "equality outside the unit-gap bidegreed family"
-                )
-    return _package("conjecture-omega", desc, out, start)
+    return _reports(population, ["conjecture-omega"], workers, cache_dir)[0]
 
 
 # --- extremal search --------------------------------------------------------
@@ -646,32 +550,22 @@ def extremal_search(
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise InputError(f"no connected graphs with n={n}, m={m}")
     spec = EnumerationSpec(n=n, m=m, connected_only=True)
-    codes = enumerate_codes_cached(spec, workers=workers, cache_dir=cache_dir)
-    if not codes:
-        raise InputError(f"no connected graphs with n={n}, m={m}")
-    best_s: Fraction | None = None
-    best_var: Fraction | None = None
-    s_graphs: list[str] = []
-    var_graphs: list[str] = []
-    for group in _by_profile((c, parse_graph6(c)) for c in codes):
-        ms = measure_set(group[0][1])  # S and Var read the degrees alone
-        members = [c for c, _ in group]
-        if best_s is None or ms.s > best_s:
-            best_s, s_graphs = ms.s, list(members)
-        elif ms.s == best_s:
-            s_graphs += members
-        if best_var is None or ms.var > best_var:
-            best_var, var_graphs = ms.var, list(members)
-        elif ms.var == best_var:
-            var_graphs += members
-    assert best_s is not None and best_var is not None
+    profiles, _ = _materialise(spec, workers, cache_dir)
+
+    def maximisers(measure: str) -> tuple[Fraction, tuple[str, ...]]:
+        top = max(getattr(p.ctx.ms, measure) for p in profiles)  # S and Var read the degrees
+        codes = (c for p in profiles if getattr(p.ctx.ms, measure) == top for c in p.codes)
+        return top, tuple(sorted(codes))
+
+    max_s, s_graphs = maximisers("s")
+    max_var, var_graphs = maximisers("var")
     return ExtremalResult(
         n=n,
         m=m,
-        max_s=best_s,
-        max_var=best_var,
-        max_s_graphs=tuple(sorted(s_graphs)),
-        max_var_graphs=tuple(sorted(var_graphs)),
+        max_s=max_s,
+        max_var=max_var,
+        max_s_graphs=s_graphs,
+        max_var_graphs=var_graphs,
         coincide=set(s_graphs) <= set(var_graphs),
     )
 

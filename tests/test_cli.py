@@ -72,6 +72,16 @@ class TestCompute:
         code, _, err = run(capsys, "compute", str(p))
         assert code == 3 and "capability error" in err
 
+    def test_edge_list_over_gen_cap_exit_3_before_building(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("compute built a graph over its cap")
+
+        monkeypatch.setattr("graphirr.io.from_edge_list", no_build)
+        p = tmp_path / "wide.txt"
+        p.write_text("5001 0\n")
+        code, _, err = run(capsys, "compute", str(p))
+        assert code == 3 and "capped at n=5000" in err
+
     def test_eight_byte_graph6_on_stdin_exit_3(self, capsys, monkeypatch):
         import io
 
@@ -334,7 +344,7 @@ class TestSplitKCmd:
 
 class TestExitContract:
     def test_violations_exit_1(self, capsys):
-        from graphirr.cli import RunConfig, _emit_reports
+        from graphirr.cli import _emit_reports
         from graphirr.verify import VerificationReport, Violation
 
         bad = VerificationReport(
@@ -346,9 +356,24 @@ class TestExitContract:
             equalities=(),
             elapsed=0.0,
         )
-        assert _emit_reports([bad], RunConfig()) == 1
+        assert _emit_reports([bad]) == 1
         out = capsys.readouterr().out
         assert "VIOLATION" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum", "--n", "5"],
+            ["verify", "--max-n", "5"],
+            ["conjectures", "--max-n", "5"],
+            ["extremal", "--n", "5", "--m", "6"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_workers_below_one_exit_2(self, capsys, argv):
+        # enumeration refuses the count before it grows anything
+        code, _, err = run(capsys, *argv, "--workers", "0")
+        assert code == 2 and "workers must be positive" in err
 
     def test_closed_stdout_exit_141(self):
         src = Path(__file__).resolve().parents[1] / "src"

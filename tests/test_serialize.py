@@ -11,7 +11,6 @@ from graphirr.serialize import (
     fraction_text,
     measure_set_json,
     report_json,
-    report_json_text,
 )
 from graphirr.verify import run_suite
 
@@ -77,4 +76,4 @@ class TestReportRendering:
         rep = run_suite([wheel(5)], "bounds")
         doc = report_json(rep)
         assert "elapsed" in doc and doc["suite_id"] == "bounds"
-        json.loads(report_json_text(rep))
+        json.dumps(doc)

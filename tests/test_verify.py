@@ -7,15 +7,22 @@ import pytest
 
 from graphirr import graph, verify
 from graphirr.canon import canonical_code
-from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
+from graphirr.enumeration import (
+    EnumerationSpec,
+    enumerate_codes_cached,
+    enumerate_range,
+    range_specs,
+)
 from graphirr.errors import InputError
 from graphirr.families import complete, complete_split, path, star, wheel
 from graphirr.graph import classify, degree_stats, from_edge_list
 from graphirr.io import parse_graph6, to_graph6
 from graphirr.measures import measure_set
-from graphirr.serialize import report_json_text
+from graphirr.serialize import report_json
 from graphirr.spectral import TwoWalkParams
 from graphirr.verify import (
+    SUITE_IDS,
+    ExtremalResult,
     check_deviation_conjecture,
     check_omega_conjecture,
     extremal_search,
@@ -71,9 +78,7 @@ class TestRunSuite:
         specs = [EnumerationSpec(n=4, connected_only=True)]
         a = run_suite(specs, "bounds")
         b = run_suite(specs, "bounds")
-        assert report_json_text(a, include_timing=False) == report_json_text(
-            b, include_timing=False
-        )
+        assert report_json(a, include_timing=False) == report_json(b, include_timing=False)
 
     def test_omega_suite_counts_only_bidegreed(self):
         from graphirr.families import complete_multipartite
@@ -275,6 +280,58 @@ class TestExtremal:
             extremal_search(6, 16)
 
 
+_CONNECTED_SLICES = [(n, m) for n in range(1, 8) for m in range(n - 1, n * (n - 1) // 2 + 1)]
+
+
+@pytest.mark.parametrize("n, m", _CONNECTED_SLICES, ids=[f"{n}-{m}" for n, m in _CONNECTED_SLICES])
+def test_extremal_search_is_the_brute_force_maximum(n, m):
+    codes = enumerate_codes_cached(EnumerationSpec(n=n, m=m, connected_only=True))
+    measures = {code: measure_set(parse_graph6(code)) for code in codes}
+    max_s = max(ms.s for ms in measures.values())
+    max_var = max(ms.var for ms in measures.values())
+    s_graphs = tuple(sorted(c for c, ms in measures.items() if ms.s == max_s))
+    var_graphs = tuple(sorted(c for c, ms in measures.items() if ms.var == max_var))
+    coincide = set(s_graphs) <= set(var_graphs)
+    want = ExtremalResult(n, m, max_s, max_var, s_graphs, var_graphs, coincide)
+    assert extremal_search(n, m) == want
+
+
+class TestOnePath:
+    """``run_suite`` reports what the full run reports for the same id."""
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["connected-6", "s-plus-one"])
+    def test_run_suite_matches_run_all_suites(self, perturbed, monkeypatch, tmp_path):
+        population = range_specs("all", 6, connected_only=True)
+        if perturbed:  # S + 1 makes checks fail, so the bound filter has outcomes to keep
+            real = verify.context
+
+            def off_by_one(g):
+                ctx = real(g)
+                return dataclasses.replace(ctx, ms=dataclasses.replace(ctx.ms, s=ctx.ms.s + 1))
+
+            monkeypatch.setattr(verify, "context", off_by_one)
+        cache = str(tmp_path)
+        full = {rep.suite_id: rep for rep in run_all_suites(population, cache_dir=cache)}
+        bounds = full["bounds"]
+        kept = 0
+        for suite_id in SUITE_IDS:
+            want = full.get(suite_id)
+            if want is None:
+                want = dataclasses.replace(
+                    bounds,
+                    suite_id=suite_id,
+                    violations=tuple(v for v in bounds.violations if v.check == suite_id),
+                    findings=tuple(f for f in bounds.findings if f.check == suite_id),
+                )
+                kept += len(want.violations)
+            got = run_suite(population, suite_id, cache_dir=cache)
+            assert report_json(got, include_timing=False) == report_json(
+                want, include_timing=False
+            )
+        assert kept == len(bounds.violations)  # every bounds outcome is some bound's
+        assert (kept > 0) == perturbed
+
+
 class TestUnitGapOmega:
     """7-vertex bidegreed graphs with degree gap 1 all share Var/S = 1/14."""
 
@@ -313,9 +370,7 @@ class TestWorkerInvariance:
         specs = [EnumerationSpec(n=5, connected_only=True)]
         a = run_suite(specs, "bounds", workers=1)
         b = run_suite(specs, "bounds", workers=2)
-        assert report_json_text(a, include_timing=False) == report_json_text(
-            b, include_timing=False
-        )
+        assert report_json(a, include_timing=False) == report_json(b, include_timing=False)
 
 
 class TestSplitK:
