@@ -9,25 +9,18 @@ exhaustive populations.
 
 __version__ = "0.1.0"
 
-from .canon import CANONICAL_CAP, canonical_code, canonical_relabel
-from .enumeration import (
-    EnumerationSpec,
-    enumerate_codes_cached,
-    enumerate_range,
-    enumerate_range_cached,
-)
+from .canon import CANONICAL_CAP, canonical_code
+from .enumeration import EnumerationSpec, enumerate_codes_cached, enumerate_range
 from .errors import CapabilityError, InputError
 from .families import (
     complete,
     complete_multipartite,
     complete_split,
     cycle,
-    degree2_inflate,
     named,
     path,
     recognize,
     star,
-    subdivide_edges,
     wheel,
 )
 from .graph import (
@@ -51,7 +44,6 @@ from .measures import (
     MeasureSet,
     bound_report,
     cyclic_formulas,
-    first_zagreb,
     measure_set,
     tree_formulas,
 )

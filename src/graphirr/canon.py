@@ -207,13 +207,8 @@ def leaf_certificate(rows: Sequence[int], labels: dict[Rows, int]) -> Rows:
     return min(tuple(seq[i : i + k]) for seq in (ring * 2, ring[::-1] * 2) for i in range(k))
 
 
-def canonical_relabel(g: Graph) -> Graph:
-    """Canonically relabelled copy; equal for isomorphic inputs."""
-    return Graph(g.n, canonical_rows(g.rows, g.n))
-
-
 def canonical_code(g: Graph) -> str:
     """Deterministic isomorphism-class identifier (graph6 of the canonical form)."""
     from .io import to_graph6
 
-    return to_graph6(canonical_relabel(g))
+    return to_graph6(Graph(g.n, canonical_rows(g.rows, g.n)))

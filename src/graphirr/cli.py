@@ -37,7 +37,7 @@ from .families import (
     wheel,
 )
 from .graph import Graph
-from .io import format_edge_list, parse_graph, parse_graph6, to_graph6
+from .io import check_size, format_edge_list, parse_graph, parse_graph6, to_graph6
 from .measures import bound_report, context
 from .serialize import (
     bound_record_json,
@@ -81,7 +81,6 @@ def _read_input(arg: str) -> Graph:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {arg}: {exc}") from None
-    _check_edge_list_size(text)
     return parse_graph(text)
 
 
@@ -101,7 +100,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         doc = {
             "n": g.n,
             "m": st.edge_count,
-            "degrees": list(st.degrees),
+            "degrees": list(g.degrees()),
             "degree_set": list(st.degree_set),
             "histogram": {str(d): c for d, c in sorted(st.histogram.items())},
             "universal_count": st.universal_count,
@@ -135,7 +134,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     print(f"n={g.n} m={st.edge_count}")
-    print("degrees:", " ".join(map(str, sorted(st.degrees, reverse=True))))
+    print("degrees:", " ".join(map(str, sorted(g.degrees(), reverse=True))))
     hist = " ".join(f"{d}:{c}" for d, c in sorted(st.histogram.items()))
     degree_set = ", ".join(map(str, st.degree_set))
     print(f"degree_set: {{{degree_set}}}  counts: {hist}  q={st.universal_count}")
@@ -197,13 +196,6 @@ _FAMILIES = {
     "wheel": (1, lambda n: (n, 2 * (n - 1)), wheel),
     "cs": (2, lambda n, k: (n, k * (k - 1) // 2 + k * (n - k)), complete_split),
 }
-# Checked before anything is built, by `gen` and for an edge list given to
-# `compute`.  A graph keeps one n-bit row per vertex, its graph6 text has
-# n^2/12 characters and its edge list one tuple per edge: at either cap `gen`
-# peaks at about 100 MB.  A graph6 input is held to its own size limit only,
-# as its text already grows with n^2.
-GEN_MAX_N = 5_000
-GEN_MAX_M = 500_000
 
 
 def _int_params(params: list[str]) -> list[int]:
@@ -211,22 +203,6 @@ def _int_params(params: list[str]) -> list[int]:
         return [int(p) for p in params]
     except ValueError:
         raise InputError(f"family parameters must be integers, got {params}") from None
-
-
-def _check_size(what: str, n: int, m: int) -> None:
-    """Refuse a graph over the caps; an invalid one is left to whatever builds it."""
-    if n > GEN_MAX_N:
-        raise CapabilityError(f"{what} capped at n={GEN_MAX_N}, got n={n}")
-    if n >= 1 and m > GEN_MAX_M:
-        raise CapabilityError(f"{what} capped at m={GEN_MAX_M} edges, got m={m}")
-
-
-def _check_edge_list_size(text: str) -> None:
-    """Hold an edge-list header to the caps before ``parse_graph`` builds any row."""
-    lines = text.strip().splitlines()
-    tokens = lines[0].split() if lines else []
-    if len(tokens) == 2 and all(t.isdecimal() for t in tokens):
-        _check_size("edge-list input", int(tokens[0]), int(tokens[1]))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -238,14 +214,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif fam == "multipartite":
         sizes = _int_params(args.params)
         n = sum(sizes)
-        _check_size("gen", n, (n * n - sum(s * s for s in sizes)) // 2)
+        check_size("gen", n, (n * n - sum(s * s for s in sizes)) // 2)
         g = complete_multipartite(sizes)
     elif fam in _FAMILIES:
         arity, size, build = _FAMILIES[fam]
         if len(args.params) != arity:
             raise InputError(f"family {fam!r} takes {arity} integer parameter(s)")
         params = _int_params(args.params)
-        _check_size("gen", *size(*params))
+        check_size("gen", *size(*params))
         g = build(*params)
     else:
         raise InputError(f"unknown family {fam!r}")
@@ -256,23 +232,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _enum_spec(args: argparse.Namespace) -> EnumerationSpec:
-    population = "all"
-    if args.trees:
-        population = "trees"
-    elif args.unicyclic:
-        population = "unicyclic"
-    return EnumerationSpec(
+def _cmd_enum(args: argparse.Namespace) -> int:
+    spec = EnumerationSpec(
         n=args.n,
         m=args.m,
         connected_only=args.connected,
         irregular_only=args.irregular,
-        population=population,
+        population=args.population,
     )
-
-
-def _cmd_enum(args: argparse.Namespace) -> int:
-    spec = _enum_spec(args)
     codes = enumerate_codes_cached(spec, workers=args.workers, cache_dir=args.cache_dir)
     if args.count:
         print(len(codes))
@@ -369,6 +336,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_split_k(args: argparse.Namespace) -> int:
+    check_size("split-k", args.n, 0)
     rule = max_deviation_split_k(args.n)
     brute = split_deviation_argmax(args.n)
     print(f"n={args.n} rule k={list(rule)} brute-force argmax={list(brute)}")
@@ -382,6 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # the options of every command that enumerates a population
+    population_opts = argparse.ArgumentParser(add_help=False)
+    population_opts.add_argument("--workers", type=int, default=1)
+    population_opts.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("compute", help="measures and checks for one graph")
     p.add_argument("input", help="path to a graph6 or edge-list file, or - for stdin")
@@ -397,19 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", action="store_true", help="edge-list output")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("enum", help="stream isomorphism classes as graph6")
+    p = sub.add_parser(
+        "enum", parents=[population_opts], help="stream isomorphism classes as graph6"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--connected", action="store_true")
     p.add_argument("--irregular", action="store_true")
-    p.add_argument("--trees", action="store_true")
-    p.add_argument("--unicyclic", action="store_true")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--trees", dest="population", action="store_const", const="trees")
+    kind.add_argument(
+        "--unicyclic", dest="population", action="store_const", const="unicyclic"
+    )
     p.add_argument("--count", action="store_true", help="print the class count only")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", default=None)
-    p.set_defaults(fn=_cmd_enum)
+    p.set_defaults(fn=_cmd_enum, population="all")
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = sub.add_parser("verify", parents=[population_opts], help="run verification suites")
     p.add_argument("--suite", default="all", help="all or one of: " + " ".join(SUITE_IDS))
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument(
@@ -423,24 +398,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="write a CSV summary here")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("conjectures", help="scan the conjectured inequalities")
+    p = sub.add_parser(
+        "conjectures", parents=[population_opts], help="scan the conjectured inequalities"
+    )
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--include-disconnected", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(fn=_cmd_conjectures)
 
-    p = sub.add_parser("extremal", help="S and Var maximisers over one (n, m) slice")
+    p = sub.add_parser(
+        "extremal", parents=[population_opts], help="S and Var maximisers over one (n, m) slice"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(fn=_cmd_extremal)
 
     p = sub.add_parser("split-k", help="rule vs brute force for the best CS clique size")

@@ -233,10 +233,13 @@ def enumerate_range(
 ) -> list[list[str]]:
     """Sorted canonical codes per spec; specs that differ only in ``n`` share one growth.
 
-    With ``cache_dir`` each spec has its own file there.  A file that passes
-    :func:`_read_cache` is read, one that fails is logged, and only the specs
-    without a good file are grown and written.
+    With ``cache_dir``, which defaults to ``$GRAPHIRR_CACHE_DIR``, each spec
+    has its own file there.  A file that passes :func:`_read_cache` is read,
+    one that fails is logged, and only the specs without a good file are
+    grown and written.  The file name holds the package version, so files of
+    another version are never read.
     """
+    cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     specs = list(specs)
     for spec in specs:
         spec.validate()  # reject out-of-cap requests before any work
@@ -328,22 +331,11 @@ def _write_cache(spec: EnumerationSpec, cache_dir: str, codes: list[str]) -> Non
         raise
 
 
-def enumerate_range_cached(
-    specs: Sequence[EnumerationSpec], workers: int = 1, cache_dir: Optional[str] = None
-) -> list[list[str]]:
-    """:func:`enumerate_range` with ``cache_dir`` defaulting to ``$GRAPHIRR_CACHE_DIR``.
-
-    The cache key includes the package version, so stale files are ignored
-    after upgrades.  With no directory configured this is a plain call.
-    """
-    return enumerate_range(specs, workers, cache_dir or os.environ.get(CACHE_ENV))
-
-
 def enumerate_codes_cached(
     spec: EnumerationSpec, workers: int = 1, cache_dir: Optional[str] = None
 ) -> list[str]:
-    """The sorted codes of one spec, through :func:`enumerate_range_cached`."""
-    return enumerate_range_cached([spec], workers, cache_dir)[0]
+    """The sorted codes of one spec, through :func:`enumerate_range`."""
+    return enumerate_range([spec], workers, cache_dir)[0]
 
 
 def _umask() -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .graph import Graph, from_edge_list
@@ -100,49 +100,13 @@ def named(name: str) -> Graph:
     return from_edge_list(n, edges)
 
 
-def subdivide_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Replace each listed edge uv by u-w-v with a fresh degree-2 vertex w."""
-    chosen = []
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise InputError(f"edge ({u},{v}) not present")
-        chosen.append((min(u, v), max(u, v)))
-    if len(set(chosen)) != len(chosen):
-        raise InputError("duplicate edges in subdivision list")
-    drop = set(chosen)
-    out = [(u, v) for u, v in g.edges() if (u, v) not in drop]
-    w = g.n
-    for u, v in chosen:
-        out.extend([(u, w), (w, v)])
-        w += 1
-    return from_edge_list(g.n + len(chosen), out)
-
-
-def degree2_inflate(h: Graph, count: int) -> Graph:
-    """Insert ``count`` degree-2 vertices one at a time by edge subdivision.
-
-    Each step subdivides the lexicographically smallest edge, which makes the
-    result deterministic.
-    """
-    from .graph import is_connected
-
-    if count < 0:
-        raise InputError("count must be non-negative")
-    if not is_connected(h):
-        raise InputError("inflation needs a connected graph")
-    g = h
-    for _ in range(count):
-        g = subdivide_edges(g, [min(g.edges())])
-    return g
-
-
 def recognize(g: Graph) -> str | None:
     """Name the graph when it belongs to a small standard family."""
     from .graph import classify, degree_stats, rows_connected
 
     st = degree_stats(g)
     n, m = g.n, st.edge_count
-    degs = sorted(st.degrees)
+    degs = sorted(g.degrees())
     if m == n * (n - 1) // 2:
         return f"K_{n}"
     if m == 0:

@@ -49,14 +49,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.neighbors(u) if u < v]
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputError(f"bad edge ({u},{v}) for n={self.n}")
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
-
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on ``n`` vertices from (u, v) pairs.
@@ -107,9 +99,8 @@ def is_connected(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Degree-sequence summary of a graph."""
+    """Degree-sequence summary of a graph: nothing here depends on the labelling."""
 
-    degrees: tuple[int, ...]
     histogram: dict[int, int]
     max_degree: int
     min_degree: int
@@ -126,7 +117,6 @@ def degree_stats(g: Graph) -> DegreeStats:
         hist[d] = hist.get(d, 0) + 1
     two_m = sum(degs)
     return DegreeStats(
-        degrees=degs,
         histogram=hist,
         max_degree=max(degs),
         min_degree=min(degs),

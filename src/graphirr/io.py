@@ -12,6 +12,21 @@ from .errors import CapabilityError, InputError
 from .graph import Graph, from_edge_list
 
 _G6_MAX_N = 258047  # largest n encodable with the 4-byte size form
+# The caps on a graph built from its order and edge count alone: an edge-list
+# header, a `gen` family member, a `split-k` order.  A graph keeps one n-bit
+# row per vertex, its graph6 text has n^2/12 characters and its edge list one
+# tuple per edge: at either cap `gen` peaks at about 100 MB.  A graph6 input is
+# held to its own size limit only, as its text already grows with n^2.
+GEN_MAX_N = 5_000
+GEN_MAX_M = 500_000
+
+
+def check_size(what: str, n: int, m: int) -> None:
+    """Refuse a graph over the caps; an invalid one is left to whatever builds it."""
+    if n > GEN_MAX_N:
+        raise CapabilityError(f"{what} capped at n={GEN_MAX_N}, got n={n}")
+    if n >= 1 and m > GEN_MAX_M:
+        raise CapabilityError(f"{what} capped at m={GEN_MAX_M} edges, got m={m}")
 
 
 def _size_chars(n: int) -> list[int]:
@@ -96,8 +111,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise InputError(f"bad header {lines[0]!r}") from exc
-    if n > _G6_MAX_N:
-        raise CapabilityError(f"edge-list reader supports n <= {_G6_MAX_N}, got {n}")
+    check_size("edge-list input", n, m)  # before any row is built
     if len(lines) - 1 != m:
         raise InputError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []

@@ -12,8 +12,8 @@ measures:
 
 Each of them, every bound of ``_BOUNDS`` and every closed form here is a
 function of the degree multiset and connectivity alone, so graphs that share
-those share a :class:`GraphContext` in everything but ``g`` and the labelled
-``stats.degrees``; ``verify`` evaluates them once per such degree profile.
+those share a :class:`GraphContext` in everything but ``g``; ``verify``
+evaluates them once per such degree profile.
 The two-walk fit in ``spectral`` reads neighbour-degree sums and is the only
 check made per graph.
 
@@ -47,7 +47,7 @@ class GraphContext:
     """A graph's degree statistics, classification and measures, read by every suite.
 
     ``verify`` builds one per degree profile and shares it among the graphs
-    of the profile, whose fields agree in all but ``g`` and ``stats.degrees``.
+    of the profile, whose fields agree in all but ``g``.
     """
 
     g: Graph
@@ -85,16 +85,11 @@ class GraphContext:
         return (self.stats.max_degree - self.avg) * (self.avg - self.stats.min_degree)
 
 
-def first_zagreb(g: Graph, stats: Optional[DegreeStats] = None) -> Fraction:
-    st = stats if stats is not None else degree_stats(g)
-    return Fraction(sum(d * d * c for d, c in st.histogram.items()))
-
-
 def measure_set(g: Graph, stats: Optional[DegreeStats] = None) -> MeasureSet:
     st = stats if stats is not None else degree_stats(g)
     n = g.n
     avg = st.average_degree
-    m1 = first_zagreb(g, st)
+    m1 = Fraction(sum(d * d * c for d, c in st.histogram.items()))
     s = sum((abs(d - avg) * c for d, c in st.histogram.items()), Fraction(0))
     var = m1 / n - avg * avg
     gap = st.max_degree - st.min_degree

@@ -30,9 +30,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .canon import canonical_code
-from .enumeration import EnumerationSpec, enumerate_range_cached
+from .enumeration import EnumerationSpec, enumerate_range
 from .errors import InputError
-from .families import complete_split
 from .graph import Graph, is_connected
 from .io import parse_graph6
 from .measures import (
@@ -47,7 +46,6 @@ from .measures import (
     bound_report,
     context,
     cyclic_formulas,
-    measure_set,
     tree_formulas,
 )
 from .serialize import fraction_text
@@ -143,15 +141,15 @@ class _Outcome:
         )
 
 
-Population = Union[EnumerationSpec, Sequence[EnumerationSpec], Sequence[Graph]]
+Population = Union[Sequence[EnumerationSpec], Sequence[Graph]]
 
 
 class _Profile(NamedTuple):
     """The graphs of one degree profile, with the context they share.
 
-    ``ctx`` is the first graph's context.  Its degree statistics (all but the
-    labelled ``degrees``), classification and measures are those of every
-    graph here, so they are all that a degree-only check may read.
+    ``ctx`` is the first graph's context.  Its degree statistics,
+    classification and measures are those of every graph here, so they are
+    all that a degree-only check may read.
     """
 
     codes: tuple[str, ...]
@@ -166,11 +164,9 @@ def _materialise(
 
     Each group keeps the order its graphs came in and gets one context.
     """
-    if isinstance(population, EnumerationSpec):
-        population = [population]
     population = list(population)
     if population and isinstance(population[0], EnumerationSpec):
-        lists = enumerate_range_cached(population, workers=workers, cache_dir=cache_dir)
+        lists = enumerate_range(population, workers=workers, cache_dir=cache_dir)
         coded = [(c, parse_graph6(c)) for codes in lists for c in codes]
         desc = "; ".join(spec.describe() for spec in population)
     else:
@@ -550,7 +546,7 @@ def extremal_search(
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise InputError(f"no connected graphs with n={n}, m={m}")
     spec = EnumerationSpec(n=n, m=m, connected_only=True)
-    profiles, _ = _materialise(spec, workers, cache_dir)
+    profiles, _ = _materialise([spec], workers, cache_dir)
 
     def maximisers(measure: str) -> tuple[Fraction, tuple[str, ...]]:
         top = max(getattr(p.ctx.ms, measure) for p in profiles)  # S and Var read the degrees
@@ -586,13 +582,14 @@ def max_deviation_split_k(n: int) -> tuple[int, ...]:
 
 
 def split_deviation_argmax(n: int) -> tuple[int, ...]:
-    """Brute-force argmax of S(CS(n, k)) over k, by building each graph."""
+    """Brute-force argmax of S(CS(n, k)) over k, from the degrees (n-1)^k k^(n-k) alone."""
     if n < 4:
         raise InputError("need n >= 4")
     best: Fraction | None = None
     arg: list[int] = []
     for k in range(1, n):
-        s = measure_set(complete_split(n, k)).s
+        avg = Fraction(k * (2 * n - k - 1), n)
+        s = k * abs(n - 1 - avg) + (n - k) * abs(k - avg)
         if best is None or s > best:
             best, arg = s, [k]
         elif s == best:

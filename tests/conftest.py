@@ -8,7 +8,8 @@ import numpy
 import pytest
 from hypothesis import strategies as st
 
-from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
+from graphirr.enumeration import CACHE_ENV, EnumerationSpec, enumerate_range, range_specs
+from graphirr.errors import InputError
 from graphirr.graph import Graph, degree_stats, from_edge_list, is_connected
 from graphirr.io import parse_graph6
 
@@ -44,6 +45,46 @@ def permute(g: Graph, perm: list[int]) -> Graph:
     rank = {v: i for i, v in enumerate(sorted(keys))}
     p = [rank[v] for v in keys]
     return from_edge_list(g.n, [(p[u], p[v]) for u, v in g.edges()])
+
+
+def subdivide_edges(g: Graph, edges) -> Graph:
+    """Replace each listed edge uv by u-w-v with a fresh degree-2 vertex w."""
+    chosen = []
+    for u, v in edges:
+        if not g.has_edge(u, v):
+            raise InputError(f"edge ({u},{v}) not present")
+        chosen.append((min(u, v), max(u, v)))
+    if len(set(chosen)) != len(chosen):
+        raise InputError("duplicate edges in subdivision list")
+    drop = set(chosen)
+    out = [(u, v) for u, v in g.edges() if (u, v) not in drop]
+    w = g.n
+    for u, v in chosen:
+        out.extend([(u, w), (w, v)])
+        w += 1
+    return from_edge_list(g.n + len(chosen), out)
+
+
+def degree2_inflate(h: Graph, count: int) -> Graph:
+    """Insert ``count`` degree-2 vertices one at a time by edge subdivision.
+
+    Each step subdivides the lexicographically smallest edge, which makes the
+    result deterministic.
+    """
+    if count < 0:
+        raise InputError("count must be non-negative")
+    if not is_connected(h):
+        raise InputError("inflation needs a connected graph")
+    g = h
+    for _ in range(count):
+        g = subdivide_edges(g, [min(g.edges())])
+    return g
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_cache(monkeypatch):
+    """Enumeration reads ``$GRAPHIRR_CACHE_DIR`` when no directory is passed."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
 
 
 # --- independent oracles -----------------------------------------------------

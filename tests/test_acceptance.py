@@ -14,13 +14,7 @@ from itertools import combinations
 
 from graphirr.canon import canonical_code
 from graphirr.enumeration import EnumerationSpec, enumerate_range
-from graphirr.families import (
-    complete_split,
-    named,
-    path,
-    subdivide_edges,
-    wheel,
-)
+from graphirr.families import complete_split, named, path, wheel
 from graphirr.graph import Graph, classify, degree_stats
 from graphirr.io import parse_graph6
 from graphirr.measures import AMBIGUOUS_BOUNDS, measure_set
@@ -38,7 +32,7 @@ from graphirr.verify import (
     split_deviation_argmax,
 )
 
-from conftest import s_definitional, spectral_radius_numpy, var_definitional
+from conftest import s_definitional, spectral_radius_numpy, subdivide_edges, var_definitional
 
 
 def acceptance(name):

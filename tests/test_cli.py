@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphirr import verify
+from graphirr import __version__, verify
 from graphirr.canon import canonical_code
 from graphirr.cli import main
+from graphirr.enumeration import CACHE_ENV
 from graphirr.families import named, wheel
 from graphirr.io import format_edge_list, parse_graph6, to_graph6
 
@@ -233,6 +234,38 @@ class TestEnum:
         code, _, _ = run(capsys, "enum", "--n", "4", "--m", "99", "--count")
         assert code == 2
 
+    def test_trees_and_unicyclic_exclusive_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enum", "--n", "5", "--trees", "--unicyclic"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+class TestCacheEnv:
+    """``$GRAPHIRR_CACHE_DIR`` is the cache of every run without ``--cache-dir``."""
+
+    def names(self, directory: Path) -> list[str]:
+        return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
+
+    def test_verify_fills_it(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        code, _, _ = run(capsys, "verify", "--suite", "bounds", "--max-n", "4")
+        assert code == 0
+        want = [f"all-n{k}-conn-v{__version__}.g6" for k in range(1, 5)]
+        assert self.names(tmp_path) == want
+
+    def test_enum_fills_it(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        assert run(capsys, "enum", "--trees", "--n", "6", "--count")[:2] == (0, "6\n")
+        assert self.names(tmp_path) == [f"trees-n6-v{__version__}.g6"]
+
+    def test_flag_takes_precedence(self, capsys, monkeypatch, tmp_path):
+        env, flag = tmp_path / "env", tmp_path / "flag"
+        monkeypatch.setenv(CACHE_ENV, str(env))
+        code, _, _ = run(capsys, "enum", "--n", "4", "--count", "--cache-dir", str(flag))
+        assert code == 0
+        assert self.names(flag) == [f"all-n4-v{__version__}.g6"] and self.names(env) == []
+
 
 class TestVerify:
     def test_all_suites_n4(self, capsys, tmp_path):
@@ -278,13 +311,13 @@ class TestVerify:
 
     def test_unknown_suite_exit_2(self, capsys, monkeypatch, tmp_path):
         calls = []
-        real = verify.enumerate_range_cached
+        real = verify.enumerate_range
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "enumerate_range_cached", counting)
+        monkeypatch.setattr(verify, "enumerate_range", counting)
         argv = ["--suite", "bogus", "--max-n", "7", "--cache-dir", str(tmp_path)]
         code, _, err = run(capsys, "verify", *argv)
         assert code == 2 and "unknown suite" in err
@@ -309,7 +342,7 @@ class TestVerify:
         def no_work(*args, **kwargs):
             raise AssertionError("an empty range reached enumeration")
 
-        monkeypatch.setattr("graphirr.verify.enumerate_range_cached", no_work)
+        monkeypatch.setattr("graphirr.verify.enumerate_range", no_work)
         code, out, err = run(capsys, *argv)
         assert code == 2 and f"the smallest order is {low}" in err
         assert "checked=" not in out
@@ -331,6 +364,14 @@ class TestExtremalCmd:
         assert "coincide: true" in out
         assert "max S = 6" in out
 
+    def test_7_11_both_maxima_at_the_split_graph(self, capsys):
+        code, out, _ = run(capsys, "extremal", "--n", "7", "--m", "11")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].startswith("max S = ") and lines[1].endswith("attained by: CS(7,2)")
+        assert lines[2].startswith("max Var = ") and lines[2].endswith("attained by: CS(7,2)")
+        assert lines[3] == "coincide: true"
+
     def test_empty_slice_exit_2(self, capsys):
         code, _, _ = run(capsys, "extremal", "--n", "6", "--m", "2")
         assert code == 2
@@ -340,6 +381,18 @@ class TestSplitKCmd:
     def test_rule(self, capsys):
         code, out, _ = run(capsys, "split-k", "--n", "12")
         assert code == 0 and "[4]" in out
+
+    def test_at_cap_builds_no_graph(self, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("split-k built a graph")
+
+        monkeypatch.setattr("graphirr.families.from_edge_list", no_build)
+        code, out, _ = run(capsys, "split-k", "--n", "5000")
+        assert code == 0 and out == "n=5000 rule k=[1666, 1667] brute-force argmax=[1666, 1667]\n"
+
+    def test_over_cap_exit_3(self, capsys):
+        code, _, err = run(capsys, "split-k", "--n", "5001")
+        assert code == 3 and "split-k capped at n=5000" in err
 
 
 class TestExitContract:

@@ -15,7 +15,6 @@ from graphirr.enumeration import (
     EnumerationSpec,
     enumerate_codes_cached,
     enumerate_range,
-    enumerate_range_cached,
     range_specs,
 )
 from graphirr.errors import CapabilityError, InputError
@@ -293,7 +292,7 @@ class TestRange:
         counted = count_canonicalisations(monkeypatch)
         enumerate_range(specs[:-1])  # one growth up to n=9, the largest missing n
         to_nine, counted[0] = counted[0], 0
-        assert enumerate_range_cached(specs, cache_dir=str(ranged)) == expected
+        assert enumerate_range(specs, cache_dir=str(ranged)) == expected
         assert counted[0] == to_nine
         assert {name: (ranged / name).stat().st_ino for name in kept} == kept
         assert sorted(p.name for p in ranged.iterdir()) == sorted(p.name for p in single.iterdir())

@@ -9,18 +9,16 @@ from graphirr.families import (
     complete_multipartite,
     complete_split,
     cycle,
-    degree2_inflate,
     named,
     path,
     recognize,
     star,
-    subdivide_edges,
     wheel,
 )
 from graphirr.graph import classify, degree_stats, from_edge_list, is_connected
 from graphirr.measures import measure_set
 
-from conftest import permute
+from conftest import degree2_inflate, permute, subdivide_edges
 
 
 class TestBasicFamilies:

@@ -61,8 +61,9 @@ class TestConstruction:
 
 class TestDegreeStats:
     def test_tripartite_2_3_5(self):
-        st = degree_stats(complete_multipartite([2, 3, 5]))
-        assert sorted(st.degrees, reverse=True) == [8, 8, 7, 7, 7, 5, 5, 5, 5, 5]
+        g = complete_multipartite([2, 3, 5])
+        st = degree_stats(g)
+        assert sorted(g.degrees(), reverse=True) == [8, 8, 7, 7, 7, 5, 5, 5, 5, 5]
         assert st.edge_count == 31
         assert st.histogram == {8: 2, 7: 3, 5: 5}
 

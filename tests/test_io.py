@@ -9,6 +9,8 @@ from graphirr.errors import CapabilityError, InputError
 from graphirr.families import complete_split, cycle, path, star
 from graphirr.graph import from_edge_list
 from graphirr.io import (
+    GEN_MAX_M,
+    GEN_MAX_N,
     format_edge_list,
     parse_edge_list,
     parse_graph,
@@ -17,6 +19,24 @@ from graphirr.io import (
 )
 
 from conftest import graphs
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge lists whose header is near, at or over the caps, or does not match its lines."""
+    edges = draw(st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=6))
+    n = draw(
+        st.one_of(
+            st.integers(-2, 10),
+            st.integers(GEN_MAX_N - 1, GEN_MAX_N + 1),
+            st.integers(258_047, 10**7),
+        )
+    )
+    m = draw(
+        st.one_of(st.just(len(edges)), st.integers(-2, 10), st.integers(GEN_MAX_M, GEN_MAX_M + 1))
+    )
+    lines = [f"{n} {m}"] + [f"{u} {v}" for u, v in edges]
+    return "\n".join(lines + draw(st.lists(st.text(max_size=8), max_size=2)))
 
 
 def nx_graph6(g) -> str:
@@ -136,6 +156,43 @@ class TestEdgeList:
         # one past the largest graph6 size; refused before [0] * n is built
         with pytest.raises(CapabilityError):
             parse_edge_list("258048 0\n")
+
+    @pytest.mark.parametrize(
+        "text, cap",
+        [("5001 0\n", "n=5000"), ("10 500001\n0 1\n", "m=500000")],
+        ids=["n", "m"],
+    )
+    def test_header_over_caps_refused_before_any_row(self, monkeypatch, text, cap):
+        def no_build(*args):
+            raise AssertionError("a row was built for a header over the caps")
+
+        monkeypatch.setattr("graphirr.io.from_edge_list", no_build)
+        with pytest.raises(CapabilityError, match=f"capped at {cap}"):
+            parse_edge_list(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(edge_list_texts(), st.text(max_size=40)))
+    def test_readers_raise_only_their_errors(self, text):
+        head = text.split()[:2]
+        try:
+            n, m = int(head[0]), int(head[1])
+        except (IndexError, ValueError):
+            n, m = 0, 0
+        over_caps = n > GEN_MAX_N or (n >= 1 and m > GEN_MAX_M)
+        for parse in (parse_edge_list, parse_graph):
+            built = []
+
+            def spy(n, edges):
+                built.append(n)
+                return from_edge_list(n, edges)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("graphirr.io.from_edge_list", spy)
+                try:
+                    parse(text)
+                except (InputError, CapabilityError):
+                    pass
+            assert not (over_caps and built), text
 
 
 class TestAutodetect:

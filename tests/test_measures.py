@@ -10,18 +10,15 @@ from graphirr.families import (
     complete_multipartite,
     complete_split,
     cycle,
-    degree2_inflate,
     named,
     path,
     star,
-    subdivide_edges,
     wheel,
 )
 from graphirr.graph import classify, degree_stats, from_edge_list
 from graphirr.measures import (
     bound_report,
     cyclic_formulas,
-    first_zagreb,
     measure_set,
     tree_formulas,
 )
@@ -29,10 +26,12 @@ from graphirr.verify import run_suite
 
 from conftest import (
     connected_graphs,
+    degree2_inflate,
     graphs,
     ird_definitional,
     m1_definitional,
     s_definitional,
+    subdivide_edges,
     var_definitional,
 )
 
@@ -118,13 +117,13 @@ class TestZagreb:
                 if not (u == 0 and v in (1, 2, 3))
             ],
         )
-        assert first_zagreb(g) == 102
+        assert measure_set(g).m1 == 102
 
     def test_k4(self):
-        assert first_zagreb(complete(4)) == 36
+        assert measure_set(complete(4)).m1 == 36
 
     def test_grotzsch(self):
-        assert first_zagreb(named("grotzsch")) == 150
+        assert measure_set(named("grotzsch")).m1 == 150
 
 
 class TestBidegreedIdentities:

@@ -69,8 +69,7 @@ class TestRunSuite:
         rep = run_suite(tree_specs, "trees")
         assert rep.passed and rep.graphs_checked == 235 + 551
         assert not rep.findings
-        uni_spec = EnumerationSpec(n=10, population="unicyclic")
-        rep = run_suite(uni_spec, "cyclic")
+        rep = run_suite([EnumerationSpec(n=10, population="unicyclic")], "cyclic")
         assert rep.passed and rep.graphs_checked == 657
         assert not rep.findings
 
@@ -116,14 +115,14 @@ class TestSinglePass:
         assert sorted(seen) == sorted(canonical_code(g) for g in graphs[:3])
 
     def test_elapsed_times_suite_evaluation_only(self, monkeypatch):
-        real = verify.enumerate_range_cached
+        real = verify.enumerate_range
 
         def slow(*args, **kwargs):
             time.sleep(0.2)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "enumerate_range_cached", slow)
-        spec = EnumerationSpec(n=4, connected_only=True)
+        monkeypatch.setattr(verify, "enumerate_range", slow)
+        spec = [EnumerationSpec(n=4, connected_only=True)]
         assert run_suite(spec, "bounds").elapsed < 0.2
         assert all(rep.elapsed < 0.2 for rep in run_all_suites(spec))
         assert check_deviation_conjecture(spec).elapsed < 0.2
@@ -180,8 +179,7 @@ class TestProfiles:
             assert [to_graph6(g) for g in p.graphs] == list(p.codes)
             for g in p.graphs:
                 st = degree_stats(g)
-                assert sorted(st.degrees) == sorted(shared.stats.degrees)
-                assert dataclasses.replace(st, degrees=shared.stats.degrees) == shared.stats
+                assert st == shared.stats
                 assert classify(g, st) == shared.cls
                 assert measure_set(g, st) == shared.ms
 
@@ -338,7 +336,7 @@ class TestUnitGapOmega:
     def build_population(self):
         from graphirr.families import cycle
 
-        chorded = cycle(7).with_edge(0, 2)  # m = 8, degrees {3, 2}
+        chorded = from_edge_list(7, cycle(7).edges() + [(0, 2)])  # m = 8, degrees {3, 2}
         dense = from_edge_list(
             7,
             [
@@ -390,6 +388,12 @@ class TestSplitK:
     @pytest.mark.parametrize("n", range(4, 31))
     def test_rule_matches_brute_force(self, n):
         assert max_deviation_split_k(n) == split_deviation_argmax(n)
+
+    def test_brute_force_matches_built_graphs(self):
+        # the argmax reads S off the degree multiset; build each CS(n, k) instead
+        for n in range(4, 25):
+            s = {k: measure_set(complete_split(n, k)).s for k in range(1, n)}
+            assert split_deviation_argmax(n) == tuple(k for k in s if s[k] == max(s.values()))
 
     def test_small_n_rejected(self):
         with pytest.raises(InputError):
