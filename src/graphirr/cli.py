@@ -64,6 +64,9 @@ EXIT_INPUT = 2
 EXIT_CAPABILITY = 3
 EXIT_BROKEN_PIPE = 141
 
+#: the default of ``--cache-dir``; the library itself reads no environment
+CACHE_ENV = "GRAPHIRR_CACHE_DIR"
+
 
 def _fmt(q) -> str:
     text = fraction_text(q)
@@ -88,13 +91,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     g = _read_input(args.input)
     ctx = context(g)
     st, cls, ms = ctx.stats, ctx.cls, ctx.ms
-    bounds = bound_report(g, ctx)
+    bounds = bound_report(g)
     spectral = None
-    if cls.is_connected and not cls.is_regular and g.n >= 2:
-        params = two_walk_params(g, ctx)
+    if cls.is_connected and not cls.is_regular:
+        params = two_walk_params(g)
         if params is not None:
-            ident = variance_spectral_identity(g, ctx, params)
-            spectral = (params, ident)
+            spectral = (params, variance_spectral_identity(g))
 
     if args.json:
         doc = {
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the options of every command that enumerates a population
     population_opts = argparse.ArgumentParser(add_help=False)
     population_opts.add_argument("--workers", type=int, default=1)
-    population_opts.add_argument("--cache-dir", default=None)
+    population_opts.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
 
     p = sub.add_parser("compute", help="measures and checks for one graph")
     p.add_argument("input", help="path to a graph6 or edge-list file, or - for stdin")

@@ -233,13 +233,11 @@ def enumerate_range(
 ) -> list[list[str]]:
     """Sorted canonical codes per spec; specs that differ only in ``n`` share one growth.
 
-    With ``cache_dir``, which defaults to ``$GRAPHIRR_CACHE_DIR``, each spec
-    has its own file there.  A file that passes :func:`_read_cache` is read,
-    one that fails is logged, and only the specs without a good file are
-    grown and written.  The file name holds the package version, so files of
-    another version are never read.
+    With ``cache_dir``, each spec has its own file there.  A file that passes
+    :func:`_read_cache` is read, one that fails is logged, and only the specs
+    without a good file are grown and written.  The file name holds the
+    package version, so files of another version are never read.
     """
-    cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     specs = list(specs)
     for spec in specs:
         spec.validate()  # reject out-of-cap requests before any work
@@ -285,9 +283,6 @@ def range_specs(
 
 
 # --- optional on-disk cache -------------------------------------------------
-
-CACHE_ENV = "GRAPHIRR_CACHE_DIR"
-
 
 def _cache_path(spec: EnumerationSpec, cache_dir: str) -> str:
     from . import __version__

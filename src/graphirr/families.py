@@ -111,7 +111,7 @@ def recognize(g: Graph) -> str | None:
         return f"K_{n}"
     if m == 0:
         return f"empty({n})"
-    cls = classify(g, st)
+    cls = classify(g)
     if cls.is_connected:
         if m == n - 1 and st.max_degree <= 2:
             return f"P_{n}"

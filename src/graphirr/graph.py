@@ -36,9 +36,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def neighbors(self, v: int) -> Iterator[int]:
         mask = self.rows[v]
         while mask:
@@ -156,17 +153,20 @@ def _complete_split_k(n: int, stats: DegreeStats) -> Optional[int]:
     return None
 
 
-def classify(g: Graph, stats: Optional[DegreeStats] = None) -> Classification:
-    st = stats if stats is not None else degree_stats(g)
-    connected = is_connected(g)
+def classify(g: Graph) -> Classification:
+    return _classify(g.n, degree_stats(g), is_connected(g))
+
+
+def _classify(n: int, st: DegreeStats, connected: bool) -> Classification:
+    """The classification shared by every graph of order ``n``, degrees ``st`` and connectivity."""
     k = len(st.degree_set)
     regular = k == 1
     bidegreed = k == 2
     n_max = st.histogram[st.max_degree]
     n_min = st.histogram[st.min_degree]
-    balanced = bidegreed and g.n % 2 == 0 and n_max == n_min == g.n // 2
+    balanced = bidegreed and n % 2 == 0 and n_max == n_min == n // 2
     dominating = not regular and st.universal_count >= 1
-    cyclo = g.m - g.n + 1 if connected else None
+    cyclo = st.edge_count - n + 1 if connected else None
     return Classification(
         is_connected=connected,
         is_regular=regular,
@@ -177,5 +177,5 @@ def classify(g: Graph, stats: Optional[DegreeStats] = None) -> Classification:
         is_tree=connected and cyclo == 0,
         is_unicyclic=connected and cyclo == 1,
         cyclomatic=cyclo,
-        complete_split_k=_complete_split_k(g.n, st),
+        complete_split_k=_complete_split_k(n, st),
     )

@@ -12,8 +12,11 @@ measures:
 
 Each of them, every bound of ``_BOUNDS`` and every closed form here is a
 function of the degree multiset and connectivity alone, so graphs that share
-those share a :class:`GraphContext` in everything but ``g``; ``verify``
-evaluates them once per such degree profile.
+those share a :class:`GraphContext`; ``verify`` evaluates them once per such
+degree profile.  ``bound_report``, ``tree_formulas`` and ``cyclic_formulas``
+take a graph, build its context and call the private function of the same
+name, which reads the context alone; ``verify`` calls that one with the
+context of a whole profile.
 The two-walk fit in ``spectral`` reads neighbour-degree sums and is the only
 check made per graph.
 
@@ -29,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InputError
-from .graph import Classification, DegreeStats, Graph, classify, degree_stats
+from .graph import Classification, DegreeStats, Graph, _classify, degree_stats, is_connected
 
 
 @dataclass(frozen=True)
@@ -44,20 +47,17 @@ class MeasureSet:
 
 @dataclass(frozen=True)
 class GraphContext:
-    """A graph's degree statistics, classification and measures, read by every suite.
+    """A graph's order, degree statistics, classification and measures, read by every suite.
 
     ``verify`` builds one per degree profile and shares it among the graphs
-    of the profile, whose fields agree in all but ``g``.
+    of the profile: each field is a function of the order, the degrees and
+    connectivity.
     """
 
-    g: Graph
+    n: int
     stats: DegreeStats
     cls: Classification
     ms: MeasureSet
-
-    @property
-    def n(self) -> int:
-        return self.g.n
 
     @property
     def m(self) -> int:
@@ -85,9 +85,11 @@ class GraphContext:
         return (self.stats.max_degree - self.avg) * (self.avg - self.stats.min_degree)
 
 
-def measure_set(g: Graph, stats: Optional[DegreeStats] = None) -> MeasureSet:
-    st = stats if stats is not None else degree_stats(g)
-    n = g.n
+def measure_set(g: Graph) -> MeasureSet:
+    return _measure_set(g.n, degree_stats(g))
+
+
+def _measure_set(n: int, st: DegreeStats) -> MeasureSet:
     avg = st.average_degree
     m1 = Fraction(sum(d * d * c for d, c in st.histogram.items()))
     s = sum((abs(d - avg) * c for d, c in st.histogram.items()), Fraction(0))
@@ -109,7 +111,9 @@ def measure_set(g: Graph, stats: Optional[DegreeStats] = None) -> MeasureSet:
 
 def context(g: Graph) -> GraphContext:
     st = degree_stats(g)
-    return GraphContext(g=g, stats=st, cls=classify(g, st), ms=measure_set(g, st))
+    return GraphContext(
+        n=g.n, stats=st, cls=_classify(g.n, st, is_connected(g)), ms=_measure_set(g.n, st)
+    )
 
 
 # --- the inequality suite -------------------------------------------------
@@ -243,16 +247,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         equality_mode="iff",
     ),
     _BoundDef(
-        bound_id="bidegreed_var_cap",
-        formula="Var <= (Dmax-Dmin)^2/4 for bidegreed graphs",
-        applies=lambda c: c.cls.is_connected and c.cls.is_bidegreed,
-        lhs=lambda c: c.ms.var,
-        rhs=lambda c: Fraction(c.gap * c.gap, 4),
-        direction="le",
-        predicted=lambda c: c.cls.is_balanced_bidegreed,
-        equality_mode="iff",
-    ),
-    _BoundDef(
         bound_id="dominating_var_cap",
         formula="Var <= (2m/n)[2m+(n-1)(n-1-Dmin)]/(2n-1-Dmin) - (2m/n)^2",
         applies=lambda c: c.cls.is_dominating,
@@ -364,9 +358,12 @@ def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
     )
 
 
-def bound_report(g: Graph, ctx: Optional[GraphContext] = None) -> list[BoundRecord]:
+def bound_report(g: Graph) -> list[BoundRecord]:
     """Evaluate the full inequality suite on one graph."""
-    ctx = ctx if ctx is not None else context(g)
+    return _bound_report(context(g))
+
+
+def _bound_report(ctx: GraphContext) -> list[BoundRecord]:
     return [_evaluate(d, ctx) for d in _BOUNDS]
 
 
@@ -391,8 +388,11 @@ def _branch_weight(hist: dict[int, int]) -> int:
     return sum((d - 2) * c for d, c in hist.items() if d >= 3)
 
 
-def tree_formulas(t: Graph, ctx: Optional[GraphContext] = None) -> TreeFormulas:
-    ctx = ctx if ctx is not None else context(t)
+def tree_formulas(t: Graph) -> TreeFormulas:
+    return _tree_formulas(context(t))
+
+
+def _tree_formulas(ctx: GraphContext) -> TreeFormulas:
     if not ctx.cls.is_tree or ctx.n < 2:
         raise InputError("tree formulas need a tree on at least two vertices")
     n = ctx.n
@@ -444,8 +444,11 @@ class CyclicFormulas:
     unicyclic_residue: Optional[Fraction]  # n*Var - S, present only when m == n
 
 
-def cyclic_formulas(g: Graph, ctx: Optional[GraphContext] = None) -> CyclicFormulas:
-    ctx = ctx if ctx is not None else context(g)
+def cyclic_formulas(g: Graph) -> CyclicFormulas:
+    return _cyclic_formulas(context(g))
+
+
+def _cyclic_formulas(ctx: GraphContext) -> CyclicFormulas:
     if not _cyclic_range(ctx):
         raise InputError(
             "closed forms need a connected graph with 1 <= cycle rank <= (n+2)/2"

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, is_connected
 from .measures import GraphContext, context
 
 logger = logging.getLogger(__name__)
@@ -43,28 +43,24 @@ class TwoWalkParams:
             raise InputError("two-walk parameters must have a^2 + 4b >= 0")
 
 
-def two_walk_params(
-    g: Graph, ctx: Optional[GraphContext] = None
-) -> Optional[TwoWalkParams]:
+def two_walk_params(g: Graph) -> Optional[TwoWalkParams]:
     """Fit S(u) = a*d(u) + b over all vertices; None when no single fit exists.
 
-    ``ctx`` may be the context of any graph with g's degree multiset and
-    connectivity: only its degree-derived fields are read.  The fit is
-    decided in integers.
+    ``g`` must be connected and irregular.  The fit is decided in integers,
+    from the degrees and neighbourhoods alone: no context is built.
     """
-    ctx = ctx if ctx is not None else context(g)
-    st = ctx.stats
-    if not ctx.cls.is_connected:
+    if not is_connected(g):
         raise InputError("two-walk detection needs a connected graph")
-    if st.max_degree == st.min_degree:
-        raise InputError("two-walk parameters are not unique for regular graphs")
     degs = g.degrees()
+    dmax, dmin = max(degs), min(degs)
+    if dmax == dmin:
+        raise InputError("two-walk parameters are not unique for regular graphs")
 
     def degree_sum(w: int) -> int:  # S(w)
         return sum(degs[x] for x in g.neighbors(w))
 
-    u = degs.index(st.max_degree)
-    v = degs.index(st.min_degree)
+    u = degs.index(dmax)
+    v = degs.index(dmin)
     # the line through (d_u, S(u)) and (d_v, S(v)) has slope a = num/den and
     # intercept b = b_den/den; each vertex is tested with den cleared, and the
     # first one off the line ends the fit
@@ -102,19 +98,20 @@ class VarianceIdentity:
     matches: bool
 
 
-def variance_spectral_identity(
-    g: Graph, ctx: Optional[GraphContext] = None, params: Optional[TwoWalkParams] = None
-) -> VarianceIdentity:
+def variance_spectral_identity(g: Graph) -> VarianceIdentity:
     """Check Var == (lambda - 2m/n)(2m/n - mu) exactly.
 
     With lambda+mu = a and lambda*mu = -b the product equals
-    a*(2m/n) + b - (2m/n)^2, so no irrational arithmetic is needed.  A caller
-    that has fitted ``g`` already passes the fit as ``params``.
+    a*(2m/n) + b - (2m/n)^2, so no irrational arithmetic is needed.
     """
-    ctx = ctx if ctx is not None else context(g)
-    p = params if params is not None else two_walk_params(g, ctx)
+    p = two_walk_params(g)
     if p is None:
         raise InputError("graph is not 2-walk linear")
+    return _variance_spectral_identity(context(g), p)
+
+
+def _variance_spectral_identity(ctx: GraphContext, p: TwoWalkParams) -> VarianceIdentity:
+    """The identity for the fit ``p`` of a graph with context ``ctx``."""
     c = ctx.avg
     value = c * p.a + p.b - c * c
     return VarianceIdentity(var_via_params=value, matches=value == ctx.ms.var)

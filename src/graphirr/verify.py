@@ -40,20 +40,16 @@ from .measures import (
     CONDITION_MISMATCH,
     NOT_APPLICABLE,
     GraphContext,
+    _bound_report,
     _branch_weight,
+    _cyclic_formulas,
     _cyclic_range,
     _degrees_within_extremes_or_mean,
-    bound_report,
+    _tree_formulas,
     context,
-    cyclic_formulas,
-    tree_formulas,
 )
 from .serialize import fraction_text
-from .spectral import (
-    two_walk_params,
-    two_walk_radius_test,
-    variance_spectral_identity,
-)
+from .spectral import _variance_spectral_identity, two_walk_params, two_walk_radius_test
 
 
 @dataclass(frozen=True)
@@ -147,9 +143,9 @@ Population = Union[Sequence[EnumerationSpec], Sequence[Graph]]
 class _Profile(NamedTuple):
     """The graphs of one degree profile, with the context they share.
 
-    ``ctx`` is the first graph's context.  Its degree statistics,
-    classification and measures are those of every graph here, so they are
-    all that a degree-only check may read.
+    The order, degree statistics, classification and measures of ``ctx`` are
+    those of every graph here, so they are all that a degree-only check may
+    read.
     """
 
     codes: tuple[str, ...]
@@ -189,7 +185,7 @@ def _materialise(
 
 
 def _check_bounds(out: _Outcome, ctx: GraphContext) -> None:
-    for rec in bound_report(ctx.g, ctx):
+    for rec in _bound_report(ctx):
         if rec.agreement == NOT_APPLICABLE:
             continue
         out.expect(rec.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed")
@@ -232,7 +228,7 @@ def _check_degree_counts(out: _Outcome, ctx: GraphContext) -> None:
 
 def _check_trees(out: _Outcome, ctx: GraphContext) -> None:
     ms = ctx.ms
-    tf = tree_formulas(ctx.g, ctx)
+    tf = _tree_formulas(ctx)
     out.expect_eq("tree_s_closed", tf.s_closed, ms.s)
     out.expect_eq("tree_var_closed", tf.var_closed, ms.var)
     out.expect_eq("tree_irr_closed", tf.irr_closed, ms.irr)
@@ -262,10 +258,6 @@ def _check_trees(out: _Outcome, ctx: GraphContext) -> None:
         is_path,
         "tree_var_s_gap_equality_iff",
     )
-    if n >= 4:
-        assert ms.omega is not None
-        floor = Fraction(1, 2 * n)
-        out.expect_iff("tree_omega_floor", ms.omega >= floor, ms.omega, floor, is_path)
     if n >= 3:
         out.expect_iff("tree_s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird, ctx.cls.is_bidegreed)
 
@@ -273,13 +265,12 @@ def _check_trees(out: _Outcome, ctx: GraphContext) -> None:
 def _check_cyclic(out: _Outcome, ctx: GraphContext) -> None:
     """Closed forms for cycle rank 1..(n+2)/2; their two bounds are ``bounds`` entries."""
     ms = ctx.ms
-    cf = cyclic_formulas(ctx.g, ctx)
+    cf = _cyclic_formulas(ctx)
     out.expect_eq("cyclic_s_closed", cf.s_closed, ms.s)
     out.expect_eq("cyclic_var_closed", cf.var_closed, ms.var)
     if not ctx.cls.is_unicyclic:
         return
-    assert cf.unicyclic_s is not None and cf.unicyclic_residue is not None
-    out.expect_eq("unicyclic_s_eq_2n1", cf.unicyclic_s, ms.s)
+    assert cf.unicyclic_residue is not None
     out.expect_eq("unicyclic_nvar_minus_s", ctx.n * ms.var - ms.s, cf.unicyclic_residue)
     if not ctx.cls.is_regular:
         assert ms.omega is not None
@@ -348,13 +339,13 @@ def _suite_spectral(profiles: list[_Profile]) -> _Outcome:
         if not ctx.cls.is_connected or ctx.cls.is_regular:
             continue
         for code, g in zip(codes, graphs):
-            params = two_walk_params(g, ctx)
+            params = two_walk_params(g)
             if params is None:
                 continue
             out.checked += 1
             out.codes = (code,)
             out.expect("two_walk_integral", params.a >= 0, Fraction(params.a), Fraction(0))
-            ident = variance_spectral_identity(g, ctx, params)
+            ident = _variance_spectral_identity(ctx, params)
             out.expect(
                 "two_walk_var_identity", ident.matches, ident.var_via_params, ctx.ms.var
             )

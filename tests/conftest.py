@@ -8,7 +8,7 @@ import numpy
 import pytest
 from hypothesis import strategies as st
 
-from graphirr.enumeration import CACHE_ENV, EnumerationSpec, enumerate_range, range_specs
+from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
 from graphirr.errors import InputError
 from graphirr.graph import Graph, degree_stats, from_edge_list, is_connected
 from graphirr.io import parse_graph6
@@ -51,7 +51,7 @@ def subdivide_edges(g: Graph, edges) -> Graph:
     """Replace each listed edge uv by u-w-v with a fresh degree-2 vertex w."""
     chosen = []
     for u, v in edges:
-        if not g.has_edge(u, v):
+        if not g.rows[u] >> v & 1:
             raise InputError(f"edge ({u},{v}) not present")
         chosen.append((min(u, v), max(u, v)))
     if len(set(chosen)) != len(chosen):
@@ -79,12 +79,6 @@ def degree2_inflate(h: Graph, count: int) -> Graph:
     for _ in range(count):
         g = subdivide_edges(g, [min(g.edges())])
     return g
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_cache(monkeypatch):
-    """Enumeration reads ``$GRAPHIRR_CACHE_DIR`` when no directory is passed."""
-    monkeypatch.delenv(CACHE_ENV, raising=False)
 
 
 # --- independent oracles -----------------------------------------------------

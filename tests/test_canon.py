@@ -48,7 +48,7 @@ def trees_and_unicyclic(draw, max_n: int = 12) -> Graph:
     tree = from_edge_list(n, edges)
     if n < 3 or not draw(st.booleans()):
         return tree
-    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not tree.has_edge(u, v)]
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not tree.rows[u] >> v & 1]
     return from_edge_list(n, edges + [draw(st.sampled_from(absent))])
 
 
@@ -100,7 +100,7 @@ class TestSpecificPairs:
                     (u, v)
                     for u in range(g.n)
                     for v in range(u + 1, g.n)
-                    if not g.has_edge(u, v)
+                    if not g.rows[u] >> v & 1
                 ],
             )
 

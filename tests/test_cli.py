@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from graphirr import __version__, verify
 from graphirr.canon import canonical_code
-from graphirr.cli import main
-from graphirr.enumeration import CACHE_ENV
+from graphirr.cli import CACHE_ENV, main
 from graphirr.families import named, wheel
 from graphirr.io import format_edge_list, parse_graph6, to_graph6
 

@@ -412,6 +412,12 @@ class TestCache:
         spec = EnumerationSpec(n=4)
         assert enumerate_codes_cached(spec) == enumerate_range([spec])[0]
 
+    def test_environment_names_no_cache(self, monkeypatch, tmp_path):
+        # only the CLI reads $GRAPHIRR_CACHE_DIR, as the default of --cache-dir
+        monkeypatch.setenv("GRAPHIRR_CACHE_DIR", str(tmp_path))
+        enumerate_range([EnumerationSpec(n=4)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_workers_checked_on_a_warm_cache(self, tmp_path):
         spec = EnumerationSpec(n=4)
         enumerate_codes_cached(spec, cache_dir=str(tmp_path))

@@ -1,6 +1,13 @@
-"""The public ``graphirr`` namespace, pinned so that any added or removed name shows up."""
+"""The public ``graphirr`` namespace, pinned so that any added or removed name shows up,
+and the one call form of its measure functions: a graph in, a result out."""
+
+import dataclasses
+import inspect
+
+import pytest
 
 import graphirr
+from graphirr.measures import GraphContext
 
 PUBLIC = [
     "BoundRecord",
@@ -65,3 +72,23 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(graphirr.__all__) == PUBLIC
+
+
+ONE_GRAPH_IN = [
+    graphirr.classify,
+    graphirr.measure_set,
+    graphirr.bound_report,
+    graphirr.tree_formulas,
+    graphirr.cyclic_formulas,
+    graphirr.two_walk_params,
+    graphirr.variance_spectral_identity,
+]
+
+
+@pytest.mark.parametrize("fn", ONE_GRAPH_IN, ids=lambda fn: fn.__name__)
+def test_measure_functions_take_the_graph_alone(fn):
+    assert len(inspect.signature(fn).parameters) == 1
+
+
+def test_context_holds_no_graph():
+    assert "g" not in {f.name for f in dataclasses.fields(GraphContext)}
