@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .errors import CapabilityError
 from .graph import Graph
+from .io import to_graph6
 
 CANONICAL_CAP = 12
 
@@ -209,6 +210,4 @@ def leaf_certificate(rows: Sequence[int], labels: dict[Rows, int]) -> Rows:
 
 def canonical_code(g: Graph) -> str:
     """Deterministic isomorphism-class identifier (graph6 of the canonical form)."""
-    from .io import to_graph6
-
     return to_graph6(Graph(g.n, canonical_rows(g.rows, g.n)))

@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError
-from .graph import Graph, from_edge_list
+from .graph import Graph, from_edge_list, rows_connected
+from .measures import context
 
 
 def path(n: int) -> Graph:
@@ -102,31 +103,23 @@ def named(name: str) -> Graph:
 
 def recognize(g: Graph) -> str | None:
     """Name the graph when it belongs to a small standard family."""
-    from .graph import classify, degree_stats, rows_connected
-
-    st = degree_stats(g)
-    n, m = g.n, st.edge_count
-    degs = sorted(g.degrees())
+    ctx = context(g)
+    n, m, dmax = ctx.n, ctx.m, ctx.stats.max_degree
     if m == n * (n - 1) // 2:
         return f"K_{n}"
     if m == 0:
         return f"empty({n})"
-    cls = classify(g)
-    if cls.is_connected:
-        if m == n - 1 and st.max_degree <= 2:
+    if ctx.connected:
+        if m == n - 1 and dmax <= 2:
             return f"P_{n}"
-        if m == n and st.max_degree == 2:
+        if m == n and dmax == 2:
             return f"C_{n}"
-        if m == n - 1 and st.max_degree == n - 1:
+        if m == n - 1 and dmax == n - 1:
             return f"K_{{1,{n - 1}}}"
-        k = cls.complete_split_k
+        k = ctx.cls.complete_split_k
         if k is not None and k < n - 1:
             return f"CS({n},{k})"
-        if (
-            n >= 5
-            and m == 2 * (n - 1)
-            and degs == [3] * (n - 1) + [n - 1]
-        ):
+        if ctx.histogram == ((3, n - 1), (n - 1, 1)):  # n-1 rim vertices of degree 3, one hub
             hub = max(range(n), key=g.degree)
             low = (1 << hub) - 1
             # the rim rows with the hub's bit cut out; the rim is 2-regular,

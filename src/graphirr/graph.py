@@ -94,6 +94,10 @@ def is_connected(g: Graph) -> bool:
     return rows_connected(g.rows)
 
 
+#: sorted (degree, count) pairs, one for each degree that occurs
+Histogram = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class DegreeStats:
     """Degree-sequence summary of a graph: nothing here depends on the labelling."""
@@ -107,20 +111,30 @@ class DegreeStats:
     universal_count: int
 
 
+def _degree_histogram(g: Graph) -> Histogram:
+    counts = [0] * g.n  # counts[d] vertices have degree d
+    for r in g.rows:
+        counts[r.bit_count()] += 1
+    return tuple([(d, c) for d, c in enumerate(counts) if c])
+
+
 def degree_stats(g: Graph) -> DegreeStats:
-    degs = g.degrees()
-    hist: dict[int, int] = {}
-    for d in degs:
-        hist[d] = hist.get(d, 0) + 1
-    two_m = sum(degs)
+    return _degree_stats(_degree_histogram(g))
+
+
+def _degree_stats(hist: Histogram) -> DegreeStats:
+    """The statistics of every graph whose degree histogram is ``hist``."""
+    counts = dict(hist)
+    n = sum(counts.values())
+    two_m = sum(d * c for d, c in hist)
     return DegreeStats(
-        histogram=hist,
-        max_degree=max(degs),
-        min_degree=min(degs),
+        histogram=counts,
+        max_degree=hist[-1][0],
+        min_degree=hist[0][0],
         edge_count=two_m // 2,
-        average_degree=Fraction(two_m, g.n),
-        degree_set=tuple(sorted(hist)),
-        universal_count=hist.get(g.n - 1, 0),
+        average_degree=Fraction(two_m, n),
+        degree_set=tuple(counts),
+        universal_count=counts.get(n - 1, 0),
     )
 
 

@@ -11,12 +11,14 @@ measures:
 * ``omega`` -- var/s, defined only for irregular graphs
 
 Each of them, every bound of ``_BOUNDS`` and every closed form here is a
-function of the degree multiset and connectivity alone, so graphs that share
-those share a :class:`GraphContext`; ``verify`` evaluates them once per such
-degree profile.  ``bound_report``, ``tree_formulas`` and ``cyclic_formulas``
-take a graph, build its context and call the private function of the same
-name, which reads the context alone; ``verify`` calls that one with the
-context of a whole profile.
+function of the degree multiset and connectivity alone.  A
+:class:`GraphContext` is exactly that degree profile, the sorted degree
+histogram and a connectivity flag, and derives everything else from it on
+first use, so graphs that share a profile share a context and ``verify``
+evaluates them once per profile.  ``bound_report``, ``tree_formulas`` and
+``cyclic_formulas`` take a graph, build its context and call the private
+function of the same name, which reads the context alone; ``verify`` calls
+that one with the context of a whole profile.
 The two-walk fit in ``spectral`` reads neighbour-degree sums and is the only
 check made per graph.
 
@@ -29,10 +31,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import InputError
-from .graph import Classification, DegreeStats, Graph, _classify, degree_stats, is_connected
+from .graph import (
+    Classification,
+    DegreeStats,
+    Graph,
+    Histogram,
+    _classify,
+    _degree_histogram,
+    _degree_stats,
+    is_connected,
+)
 
 
 @dataclass(frozen=True)
@@ -47,17 +59,32 @@ class MeasureSet:
 
 @dataclass(frozen=True)
 class GraphContext:
-    """A graph's order, degree statistics, classification and measures, read by every suite.
+    """A degree profile: the sorted (degree, count) pairs and connectivity.
 
-    ``verify`` builds one per degree profile and shares it among the graphs
-    of the profile: each field is a function of the order, the degrees and
-    connectivity.
+    Two graphs have equal contexts exactly when they share order, sorted
+    degrees and connectivity, and every field read by a suite is a function
+    of those.  The order, degree statistics, classification and measures
+    are computed from the two fields on first read, once per context.
     """
 
-    n: int
-    stats: DegreeStats
-    cls: Classification
-    ms: MeasureSet
+    histogram: Histogram
+    connected: bool
+
+    @cached_property
+    def n(self) -> int:
+        return sum(c for _, c in self.histogram)
+
+    @cached_property
+    def stats(self) -> DegreeStats:
+        return _degree_stats(self.histogram)
+
+    @cached_property
+    def cls(self) -> Classification:
+        return _classify(self.n, self.stats, self.connected)
+
+    @cached_property
+    def ms(self) -> MeasureSet:
+        return _measure_set(self)
 
     @property
     def m(self) -> int:
@@ -86,19 +113,16 @@ class GraphContext:
 
 
 def measure_set(g: Graph) -> MeasureSet:
-    return _measure_set(g.n, degree_stats(g))
+    return context(g).ms
 
 
-def _measure_set(n: int, st: DegreeStats) -> MeasureSet:
-    avg = st.average_degree
-    m1 = Fraction(sum(d * d * c for d, c in st.histogram.items()))
-    s = sum((abs(d - avg) * c for d, c in st.histogram.items()), Fraction(0))
+def _measure_set(c: GraphContext) -> MeasureSet:
+    n, avg = c.n, c.avg
+    m1 = Fraction(sum(d * d * k for d, k in c.histogram))
+    s = sum((abs(d - avg) * k for d, k in c.histogram), Fraction(0))
     var = m1 / n - avg * avg
-    gap = st.max_degree - st.min_degree
-    n_max = st.histogram[st.max_degree]
-    n_min = st.histogram[st.min_degree]
-    ird = Fraction(2 * n_max * n_min * gap, n_max + n_min)
-    irr = Fraction(n * gap, 2)
+    ird = Fraction(2 * c.n_max * c.n_min * c.gap, c.n_max + c.n_min)
+    irr = Fraction(n * c.gap, 2)
     return MeasureSet(
         m1=m1,
         s=s,
@@ -110,10 +134,7 @@ def _measure_set(n: int, st: DegreeStats) -> MeasureSet:
 
 
 def context(g: Graph) -> GraphContext:
-    st = degree_stats(g)
-    return GraphContext(
-        n=g.n, stats=st, cls=_classify(g.n, st, is_connected(g)), ms=_measure_set(g.n, st)
-    )
+    return GraphContext(_degree_histogram(g), is_connected(g))
 
 
 # --- the inequality suite -------------------------------------------------

@@ -9,14 +9,15 @@ A suite walks a population of isomorphism-class representatives and records
 * equalities -- informational list of equality cases.
 
 Every check but one reads only a graph's degree profile: its order, sorted
-degrees and connectivity.  The population is grouped by profile, each profile
-gets one context, and every report but ``spectral`` runs through the loop of
-:func:`_per_profile`, which makes the report's check once for each profile it
-applies to and records the outcome under every code in it.  The two-walk fit
-of ``spectral`` reads neighbour-degree sums, which the degrees do not
-determine, and is the only check made per graph.  No suite restates a check
-that another makes on the same graphs, except ``balanced``, whose two
-identities are equality cases of ``s_le_irr`` and ``s_sq_le_n_sq_var``.
+degrees and connectivity, which is what a :class:`GraphContext` holds.  The
+population is grouped by context, and every report but ``spectral`` runs
+through the loop of :func:`_per_profile`, which makes the report's check once
+for each context it applies to and records the outcome under every code of
+that profile.  The two-walk fit of ``spectral`` reads neighbour-degree sums,
+which the degrees do not determine, and is the only check made per graph.
+No suite restates a check that another makes on the same graphs, except
+``balanced``, whose two identities are equality cases of ``s_le_irr`` and
+``s_sq_le_n_sq_var``.
 
 Reports are deterministic: all outcome lists are sorted by graph code before
 packaging, so grouping, worker count and scheduling cannot change the result.
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 from .canon import canonical_code
 from .enumeration import EnumerationSpec, enumerate_range
 from .errors import InputError
-from .graph import Graph, is_connected
+from .graph import Graph
 from .io import parse_graph6
 from .measures import (
     AMBIGUOUS_BOUNDS,
@@ -143,9 +144,9 @@ Population = Union[Sequence[EnumerationSpec], Sequence[Graph]]
 class _Profile(NamedTuple):
     """The graphs of one degree profile, with the context they share.
 
-    The order, degree statistics, classification and measures of ``ctx`` are
-    those of every graph here, so they are all that a degree-only check may
-    read.
+    ``ctx`` is the profile itself, so its order, degree statistics,
+    classification and measures are those of every graph here, and they are
+    all that a degree-only check may read.
     """
 
     codes: tuple[str, ...]
@@ -156,10 +157,7 @@ class _Profile(NamedTuple):
 def _materialise(
     population: Population, workers: int, cache_dir: Optional[str]
 ) -> tuple[list[_Profile], str]:
-    """The population's graphs grouped by (order, sorted degrees, connectivity).
-
-    Each group keeps the order its graphs came in and gets one context.
-    """
+    """The population's graphs grouped by context, each group in the order its graphs came in."""
     population = list(population)
     if population and isinstance(population[0], EnumerationSpec):
         lists = enumerate_range(population, workers=workers, cache_dir=cache_dir)
@@ -170,15 +168,12 @@ def _materialise(
         desc = f"explicit list of {len(coded)} graphs"
     if not coded:
         raise InputError(f"empty population ({desc}): there is nothing to check")
-    groups: dict[tuple, list[tuple[str, Graph]]] = {}
+    groups: dict[GraphContext, list[tuple[str, Graph]]] = {}
     for code, g in coded:
-        key = (g.n, tuple(sorted(g.degrees())), is_connected(g))
-        groups.setdefault(key, []).append((code, g))
-    profiles = []
-    for group in groups.values():
-        codes, graphs = zip(*group)
-        profiles.append(_Profile(codes, graphs, context(graphs[0])))
-    return profiles, desc
+        groups.setdefault(context(g), []).append((code, g))
+    for ctx in groups:
+        ctx.cls, ctx.ms  # evaluated here, so that no report's elapsed pays for them
+    return [_Profile(*zip(*group), ctx) for ctx, group in groups.items()], desc
 
 
 # --- degree-only checks, each made once for a profile -----------------------
@@ -573,16 +568,10 @@ def max_deviation_split_k(n: int) -> tuple[int, ...]:
 
 
 def split_deviation_argmax(n: int) -> tuple[int, ...]:
-    """Brute-force argmax of S(CS(n, k)) over k, from the degrees (n-1)^k k^(n-k) alone."""
+    """Brute-force argmax of S(CS(n, k)) over k, from the profile (n-1)^k k^(n-k) alone."""
     if n < 4:
         raise InputError("need n >= 4")
-    best: Fraction | None = None
-    arg: list[int] = []
-    for k in range(1, n):
-        avg = Fraction(k * (2 * n - k - 1), n)
-        s = k * abs(n - 1 - avg) + (n - k) * abs(k - avg)
-        if best is None or s > best:
-            best, arg = s, [k]
-        elif s == best:
-            arg.append(k)
-    return tuple(arg)
+    s = {k: GraphContext(((k, n - k), (n - 1, k)), True).ms.s for k in range(1, n - 1)}
+    s[n - 1] = Fraction(0)  # CS(n, n-1) is K_n, which is regular
+    top = max(s.values())
+    return tuple(k for k in s if s[k] == top)

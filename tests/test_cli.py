@@ -51,6 +51,32 @@ class TestCompute:
         assert "S=0" in out
         assert "Omega: undefined" in out
 
+    @pytest.mark.parametrize(
+        "gen, edges, classification, connected",
+        [
+            (["path", "4"], None, "2-degreed; bidegreed; balanced; tree", "yes  c=0"),
+            (
+                ["cs", "7", "2"],
+                None,
+                "2-degreed; bidegreed; dominating; complete split k=2",
+                "yes  c=5",
+            ),
+            (None, "4 2\n0 1\n2 3\n", "regular", "no"),
+        ],
+        ids=["path-4", "cs-7-2", "two-edges"],
+    )
+    def test_text_classification(self, tmp_path, capsys, gen, edges, classification, connected):
+        if gen is not None:
+            code, edges, _ = run(capsys, "gen", *gen)
+            assert code == 0
+        p = tmp_path / "g.txt"
+        p.write_text(edges)
+        code, out, _ = run(capsys, "compute", str(p))
+        assert code == 0
+        lines = out.splitlines()
+        assert f"classification: {classification}" in lines
+        assert f"connected: {connected}" in lines
+
     def test_json_mode(self, tmp_path, capsys):
         p = tmp_path / "w.g6"
         p.write_text(to_graph6(wheel(5)))
@@ -363,13 +389,24 @@ class TestExtremalCmd:
         assert "coincide: true" in out
         assert "max S = 6" in out
 
-    def test_7_11_both_maxima_at_the_split_graph(self, capsys):
-        code, out, _ = run(capsys, "extremal", "--n", "7", "--m", "11")
+    def test_7_11_both_maxima_at_the_split_graph(self, capsys, tmp_path):
+        out_path = tmp_path / "extremal.json"
+        code, out, _ = run(capsys, "extremal", "--n", "7", "--m", "11", "--out", str(out_path))
         assert code == 0
         lines = out.splitlines()
         assert lines[1].startswith("max S = ") and lines[1].endswith("attained by: CS(7,2)")
         assert lines[2].startswith("max Var = ") and lines[2].endswith("attained by: CS(7,2)")
         assert lines[3] == "coincide: true"
+        assert lines[4] == f"wrote {out_path}"
+        assert json.loads(out_path.read_text()) == {
+            "n": 7,
+            "m": 11,
+            "max_s": "80/7",
+            "max_var": "160/49",
+            "max_s_graphs": ["F}rE?"],
+            "max_var_graphs": ["F}rE?"],
+            "coincide": True,
+        }
 
     def test_empty_slice_exit_2(self, capsys):
         code, _, _ = run(capsys, "extremal", "--n", "6", "--m", "2")

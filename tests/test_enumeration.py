@@ -383,14 +383,25 @@ class TestDeterminismAndFilters:
         assert enumerate_range([EnumerationSpec(n=5, m=3, connected_only=True)])[0] == []
 
 
+#: a fixed-m, irregular-only spec: its cache file has no known class count
+FILTERED = EnumerationSpec(n=6, m=7, connected_only=True, irregular_only=True)
+
+
 class TestCache:
-    def test_round_trip(self, tmp_path):
-        spec = EnumerationSpec(n=5, connected_only=True)
-        first = enumerate_codes_cached(spec, cache_dir=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        second = enumerate_codes_cached(spec, cache_dir=str(tmp_path))
-        assert first == second == enumerate_range([spec])[0]
+    def test_round_trip(self, tmp_path, caplog):
+        # a whole-range spec, checked against its class count on read, and a
+        # filtered one, which has no known count
+        for spec, name in (
+            (EnumerationSpec(n=5, connected_only=True), "all-n5-conn"),
+            (FILTERED, "all-n6-m7-conn-irr"),
+        ):
+            cache = tmp_path / name
+            first = enumerate_codes_cached(spec, cache_dir=str(cache))
+            assert [f.name for f in cache.iterdir()] == [f"{name}-v{__version__}.g6"]
+            with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
+                second = enumerate_codes_cached(spec, cache_dir=str(cache))
+            assert "recomputing" not in caplog.text  # the file was read back
+            assert first == second == enumerate_range([spec])[0]
 
     def test_stale_fixed_tmp_name_does_not_block_writes(self, tmp_path):
         # a directory where the old fixed "<path>.tmp" name pointed
@@ -434,15 +445,17 @@ class TestCache:
         ids=["truncated", "other-n", "unsorted"],
     )
     def test_damaged_file_is_recomputed(self, tmp_path, caplog, damage):
-        spec = EnumerationSpec(n=5, connected_only=True)
-        codes = enumerate_range([spec])[0]
-        other = enumerate_range([EnumerationSpec(n=6, connected_only=True)])[0]
-        path = tmp_path / f"{spec.key()}-v{__version__}.g6"
-        path.write_text(damage(codes, other))
-        with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
-            assert enumerate_codes_cached(spec, cache_dir=str(tmp_path)) == codes
-        assert "recomputing" in caplog.text
-        assert path.read_text().split() == codes
+        n5, n6 = (EnumerationSpec(n=k, connected_only=True) for k in (5, 6))
+        for spec, other_spec in ((n5, n6), (FILTERED, n5)):
+            codes = enumerate_range([spec])[0]
+            other = enumerate_range([other_spec])[0]
+            path = tmp_path / f"{spec.key()}-v{__version__}.g6"
+            path.write_text(damage(codes, other))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
+                assert enumerate_codes_cached(spec, cache_dir=str(tmp_path)) == codes
+            assert "recomputing" in caplog.text
+            assert path.read_text().split() == codes
 
     @pytest.mark.parametrize(
         "spec",

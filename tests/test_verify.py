@@ -1,11 +1,12 @@
 import dataclasses
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from graphirr import graph, verify
+from graphirr import graph, measures, verify
 from graphirr.canon import canonical_code
 from graphirr.enumeration import (
     EnumerationSpec,
@@ -90,29 +91,37 @@ class TestRunSuite:
 
 class TestSinglePass:
     def test_degree_stats_once_per_profile(self, monkeypatch):
-        real = graph.degree_stats
-        seen = []
+        real_stats, real_measures = graph._degree_stats, measures._measure_set
+        stats_seen, measures_seen = [], []
 
-        def counting(g):
-            seen.append(canonical_code(g))
-            return real(g)
+        def counting_stats(hist):
+            stats_seen.append(hist)
+            return real_stats(hist)
+
+        def counting_measures(ctx):
+            measures_seen.append(ctx.histogram)
+            return real_measures(ctx)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("graphirr") and getattr(module, "degree_stats", None) is real:
-                monkeypatch.setattr(module, "degree_stats", counting)
+            if name.startswith("graphirr") and getattr(module, "_degree_stats", None) is real_stats:
+                monkeypatch.setattr(module, "_degree_stats", counting_stats)
+        monkeypatch.setattr(measures, "_measure_set", counting_measures)
+
+        def histograms(graphs):
+            return sorted({tuple(sorted(Counter(g.degrees()).items())) for g in graphs})
+
         specs = [EnumerationSpec(n=k, connected_only=True) for k in range(1, 6)]
         reports = run_all_suites(specs)
         codes = [code for codes in enumerate_range(specs) for code in codes]
-        first_of_profile: dict[tuple, str] = {}
-        for code in codes:  # sorted within each n, so the first is the least code
-            g = parse_graph6(code)
-            first_of_profile.setdefault((g.n, tuple(sorted(g.degrees()))), code)
-        assert sorted(seen) == sorted(first_of_profile.values())
-        assert len(seen) == 29 and reports[0].graphs_checked == len(codes) == 31
-        seen.clear()
+        profiles = histograms(parse_graph6(code) for code in codes)
+        assert sorted(stats_seen) == sorted(measures_seen) == profiles
+        assert len(profiles) == 29 and reports[0].graphs_checked == len(codes) == 31
+        stats_seen.clear()
+        measures_seen.clear()
         graphs = [star(5), wheel(6), path(4), path(4)]
         assert run_all_suites(graphs)[0].graphs_checked == 4
-        assert sorted(seen) == sorted(canonical_code(g) for g in graphs[:3])
+        assert sorted(stats_seen) == sorted(measures_seen) == histograms(graphs)
+        assert len(stats_seen) == 3
 
     def test_elapsed_times_suite_evaluation_only(self, monkeypatch):
         real = verify.enumerate_range
@@ -187,13 +196,13 @@ class TestProfiles:
         # two trees with degrees (3, 2, 2, 1, 1, 1): the leaf hangs off vertex 1 or 2
         spine = [(0, 1), (1, 2), (2, 3), (3, 4)]
         a, b = (from_edge_list(6, spine + [(v, 5)]) for v in (1, 2))
-        real = verify.context
+        real = measures._measure_set
 
-        def off_by_one(g):  # S + 1 makes most checks fail
-            ctx = real(g)
-            return dataclasses.replace(ctx, ms=dataclasses.replace(ctx.ms, s=ctx.ms.s + 1))
+        def off_by_one(ctx):  # S + 1 makes most checks fail
+            ms = real(ctx)
+            return dataclasses.replace(ms, s=ms.s + 1)
 
-        monkeypatch.setattr(verify, "context", off_by_one)
+        monkeypatch.setattr(measures, "_measure_set", off_by_one)
         reports = run_all_suites([a, b]) + [check_deviation_conjecture([a, b])]
         code_a, code_b = canonical_code(a), canonical_code(b)
         assert code_a != code_b
@@ -301,13 +310,13 @@ class TestOnePath:
     def test_run_suite_matches_run_all_suites(self, perturbed, monkeypatch, tmp_path):
         population = range_specs("all", 6, connected_only=True)
         if perturbed:  # S + 1 makes checks fail, so the bound filter has outcomes to keep
-            real = verify.context
+            real = measures._measure_set
 
-            def off_by_one(g):
-                ctx = real(g)
-                return dataclasses.replace(ctx, ms=dataclasses.replace(ctx.ms, s=ctx.ms.s + 1))
+            def off_by_one(ctx):
+                ms = real(ctx)
+                return dataclasses.replace(ms, s=ms.s + 1)
 
-            monkeypatch.setattr(verify, "context", off_by_one)
+            monkeypatch.setattr(measures, "_measure_set", off_by_one)
         cache = str(tmp_path)
         full = {rep.suite_id: rep for rep in run_all_suites(population, cache_dir=cache)}
         bounds = full["bounds"]
