@@ -61,6 +61,7 @@ from .verify import (
     extremal_search,
     max_deviation_split_k,
     run_all_suites,
+    run_conjectures,
     run_suite,
     split_deviation_argmax,
 )

@@ -38,7 +38,7 @@ from .families import (
 )
 from .graph import Graph
 from .io import check_size, format_edge_list, parse_graph, parse_graph6, to_graph6
-from .measures import bound_report, context
+from .measures import _bound_report, context
 from .serialize import (
     bound_record_json,
     fraction_decimal,
@@ -46,14 +46,13 @@ from .serialize import (
     measure_set_json,
     report_json,
 )
-from .spectral import two_walk_params, variance_spectral_identity
+from .spectral import _variance_spectral_identity, two_walk_params
 from .verify import (
     SUITE_IDS,
-    check_deviation_conjecture,
-    check_omega_conjecture,
     extremal_search,
     max_deviation_split_k,
     run_all_suites,
+    run_conjectures,
     run_suite,
     split_deviation_argmax,
 )
@@ -91,12 +90,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     g = _read_input(args.input)
     ctx = context(g)
     st, cls, ms = ctx.stats, ctx.cls, ctx.ms
-    bounds = bound_report(g)
+    bounds = _bound_report(ctx)
     spectral = None
     if cls.is_connected and not cls.is_regular:
         params = two_walk_params(g)
         if params is not None:
-            spectral = (params, variance_spectral_identity(g))
+            spectral = (params, _variance_spectral_identity(ctx, params))
 
     if args.json:
         doc = {
@@ -300,10 +299,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_conjectures(args: argparse.Namespace) -> int:
     specs = range_specs("all", args.max_n, connected_only=not args.include_disconnected)
-    reports = [
-        check_deviation_conjecture(specs, workers=args.workers, cache_dir=args.cache_dir),
-        check_omega_conjecture(specs, workers=args.workers, cache_dir=args.cache_dir),
-    ]
+    reports = run_conjectures(specs, workers=args.workers, cache_dir=args.cache_dir)
     return _emit_reports(reports, args.out)
 
 

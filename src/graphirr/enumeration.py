@@ -30,8 +30,7 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .canon import Rows, canonical_rows, leaf_certificate
 from .errors import CapabilityError, InputError
@@ -61,8 +60,7 @@ _CLASS_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class EnumerationSpec(NamedTuple):
     """What to enumerate: isomorphism classes of the selected population."""
 
     n: int
@@ -255,12 +253,12 @@ def enumerate_range(
             if codes is None:
                 logger.warning("cache file %s fails its checks; recomputing", path)
         if codes is None:
-            families.setdefault(replace(spec, n=0), set()).add(spec.n)
+            families.setdefault(spec._replace(n=0), set()).add(spec.n)
         else:
             found[spec] = codes
     for family, sizes in families.items():
-        for n, codes in _grow(replace(family, n=max(sizes)), sizes, workers).items():
-            spec = replace(family, n=n)
+        for n, codes in _grow(family._replace(n=max(sizes)), sizes, workers).items():
+            spec = family._replace(n=n)
             found[spec] = codes
             if cache_dir:
                 _write_cache(spec, cache_dir, codes)

@@ -8,15 +8,13 @@ with a few thousand vertices for closed-form cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph: no loops, no parallel edges.
 
     ``rows[v]`` is the neighbour bitmask of vertex ``v``; bit ``u`` is set
@@ -98,8 +96,7 @@ def is_connected(g: Graph) -> bool:
 Histogram = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Degree-sequence summary of a graph: nothing here depends on the labelling."""
 
     histogram: dict[int, int]
@@ -138,8 +135,7 @@ def _degree_stats(hist: Histogram) -> DegreeStats:
     )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Structural predicates used by the measure and verification layers."""
 
     is_connected: bool

@@ -29,10 +29,9 @@ is tight, with right side Nmax*Nmin*(D-d)^2/n^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InputError
 from .graph import (
@@ -47,8 +46,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class MeasureSet:
+class MeasureSet(NamedTuple):
     m1: Fraction
     s: Fraction
     var: Fraction
@@ -57,18 +55,21 @@ class MeasureSet:
     omega: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class GraphContext:
+class _ProfileKey(NamedTuple):
+    histogram: Histogram
+    connected: bool
+
+
+class GraphContext(_ProfileKey):
     """A degree profile: the sorted (degree, count) pairs and connectivity.
 
     Two graphs have equal contexts exactly when they share order, sorted
     degrees and connectivity, and every field read by a suite is a function
     of those.  The order, degree statistics, classification and measures
-    are computed from the two fields on first read, once per context.
+    are computed from the two fields on first read, once per context; the
+    class has no ``__slots__``, so its instances keep them in ``__dict__``,
+    while equality and hashing are those of the two-field tuple.
     """
-
-    histogram: Histogram
-    connected: bool
 
     @cached_property
     def n(self) -> int:
@@ -145,8 +146,7 @@ CONDITION_MISMATCH = "condition-mismatch"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     bound_id: str
     formula: str
     lhs: Fraction
@@ -157,8 +157,7 @@ class BoundRecord:
     agreement: str
 
 
-@dataclass(frozen=True)
-class _BoundDef:
+class _BoundDef(NamedTuple):
     bound_id: str
     formula: str
     applies: Callable[[GraphContext], bool]
@@ -391,8 +390,7 @@ def _bound_report(ctx: GraphContext) -> list[BoundRecord]:
 # --- closed forms for trees and low-cyclomatic graphs ---------------------
 
 
-@dataclass(frozen=True)
-class TreeFormulas:
+class TreeFormulas(NamedTuple):
     s_closed: Fraction
     var_closed: Fraction
     irr_closed: Fraction
@@ -457,8 +455,7 @@ def _tree_formulas(ctx: GraphContext) -> TreeFormulas:
     )
 
 
-@dataclass(frozen=True)
-class CyclicFormulas:
+class CyclicFormulas(NamedTuple):
     s_closed: Fraction
     var_closed: Fraction
     unicyclic_s: Optional[Fraction]  # 2*N1, present only when m == n

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Any
 
@@ -43,9 +42,14 @@ def bound_record_json(rec: BoundRecord) -> dict[str, Any]:
 
 
 def report_json(report: Any, include_timing: bool = True) -> dict[str, Any]:
-    """JSON form of a VerificationReport (timing optional for byte-stable diffs)."""
-    data = asdict(report)
+    """JSON form of a VerificationReport (timing optional for byte-stable diffs).
+
+    Built field by field: ``json`` would write a record, a tuple, as a list.
+    """
+    data = report._asdict()
+    for key in ("violations", "findings", "equalities"):
+        data[key] = [item._asdict() for item in data[key]]
     if not include_timing:
-        data.pop("elapsed", None)
+        del data["elapsed"]
     return data
 

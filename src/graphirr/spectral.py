@@ -20,9 +20,8 @@ with the two main eigenvalues lambda, mu = (a +- sqrt(D))/2, D = a^2 + 4b.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError
 from .graph import Graph, is_connected
@@ -31,16 +30,20 @@ from .measures import GraphContext, context
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TwoWalkParams:
+class _Fit(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if self.a < 0:
+
+class TwoWalkParams(_Fit):
+    """The fit S(u) = a*d(u) + b, with a >= 0 and a^2 + 4b >= 0."""
+
+    def __new__(cls, a: int, b: int) -> TwoWalkParams:
+        if a < 0:
             raise InputError("two-walk parameter a must be non-negative")
-        if self.a * self.a + 4 * self.b < 0:
+        if a * a + 4 * b < 0:
             raise InputError("two-walk parameters must have a^2 + 4b >= 0")
+        return super().__new__(cls, a, b)
 
 
 def two_walk_params(g: Graph) -> Optional[TwoWalkParams]:
@@ -92,8 +95,7 @@ def two_walk_radius_test(p: TwoWalkParams, min_degree: int) -> tuple[bool, int, 
     return t < 0 or disc > t * t, disc, t * t
 
 
-@dataclass(frozen=True)
-class VarianceIdentity:
+class VarianceIdentity(NamedTuple):
     var_via_params: Fraction
     matches: bool
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphirr import __version__, verify
+from graphirr import __version__, cli, verify
 from graphirr.canon import canonical_code
 from graphirr.cli import CACHE_ENV, main
 from graphirr.families import named, wheel
@@ -85,6 +85,27 @@ class TestCompute:
         doc = json.loads(out)
         assert doc["measures"]["s"] == {"num": 8, "den": 5, "decimal": "1.6"}
         assert doc["two_walk"]["a"] == 2 and doc["two_walk"]["b"] == 4
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_one_context_and_one_fit(self, tmp_path, capsys, monkeypatch, json_flag):
+        # counted in every module that holds them, so calls made inside
+        # bound_report or variance_spectral_identity count too
+        calls = {"context": 0, "two_walk_params": 0}
+        for name in calls:
+            real = getattr(cli, name)
+
+            def counted(g, real=real, name=name):
+                calls[name] += 1
+                return real(g)
+
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("graphirr") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        p = tmp_path / "g.txt"
+        p.write_text(format_edge_list(named("grotzsch")))
+        code, out, _ = run(capsys, "compute", *json_flag, str(p))
+        assert code == 0 and "50" in out
+        assert calls == {"context": 1, "two_walk_params": 1}
 
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
@@ -491,4 +512,15 @@ class TestRuntimeDependencies:
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = "import graphirr.cli, sys; assert 'multiprocessing' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_cli_import_loads_no_dataclasses(self):
+        # importing dataclasses (it pulls in inspect) and building records
+        # with it cost every command about 30 ms of start-up
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import graphirr.cli, sys;"
+            " assert not {'dataclasses', 'multiprocessing'} & set(sys.modules)"
+        )
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -20,7 +20,6 @@ A change that is meant to alter a report regenerates the files with
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -62,7 +61,7 @@ def _perturbed_measures(real_measure_set):
         ms = real_measure_set(ctx)
         s, var = ms.s + 1, ms.var + Fraction(1, 7)
         omega = None if ms.omega is None else var / s
-        return dataclasses.replace(ms, s=s, var=var, omega=omega)
+        return ms._replace(s=s, var=var, omega=omega)
 
     return build
 

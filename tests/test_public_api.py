@@ -2,7 +2,6 @@
 the one call form of its measure functions (a graph in, a result out), and
 every name and command line that ``perfbench/`` reaches."""
 
-import dataclasses
 import importlib
 import inspect
 
@@ -59,6 +58,7 @@ PUBLIC = [
     "path",
     "recognize",
     "run_all_suites",
+    "run_conjectures",
     "run_suite",
     "serialize",
     "spectral",
@@ -96,7 +96,7 @@ def test_measure_functions_take_the_graph_alone(fn):
 
 def test_context_holds_no_graph():
     # the context is the degree profile; all else is derived from these two
-    assert tuple(f.name for f in dataclasses.fields(GraphContext)) == ("histogram", "connected")
+    assert GraphContext._fields == ("histogram", "connected")
 
 
 #: each module attribute that perfbench/layers.py and perfbench/workloads.py call

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import time
 from collections import Counter
@@ -29,6 +28,7 @@ from graphirr.verify import (
     extremal_search,
     max_deviation_split_k,
     run_all_suites,
+    run_conjectures,
     run_suite,
     split_deviation_argmax,
 )
@@ -152,6 +152,7 @@ _ENTRY_POINTS = {
     "run_suite": lambda population: run_suite(population, "bounds"),
     "check_deviation_conjecture": check_deviation_conjecture,
     "check_omega_conjecture": check_omega_conjecture,
+    "run_conjectures": run_conjectures,
 }
 
 
@@ -200,7 +201,7 @@ class TestProfiles:
 
         def off_by_one(ctx):  # S + 1 makes most checks fail
             ms = real(ctx)
-            return dataclasses.replace(ms, s=ms.s + 1)
+            return ms._replace(s=ms.s + 1)
 
         monkeypatch.setattr(measures, "_measure_set", off_by_one)
         reports = run_all_suites([a, b]) + [check_deviation_conjecture([a, b])]
@@ -208,7 +209,7 @@ class TestProfiles:
         assert code_a != code_b
         for rep in reports:
             per_code = {
-                code: [dataclasses.replace(v, graph="") for v in rep.violations if v.graph == code]
+                code: [v._replace(graph="") for v in rep.violations if v.graph == code]
                 for code in (code_a, code_b)
             }
             assert per_code[code_a] == per_code[code_b]
@@ -255,6 +256,27 @@ class TestConjectures:
         assert ms.omega == F(2, 7) > F(1, 14)
         rep = check_omega_conjecture([g])
         assert rep.passed and not rep.equalities
+
+    def test_run_conjectures_materialises_once(self, monkeypatch, tmp_path):
+        specs = range_specs("all", 6, connected_only=True)
+        cache = str(tmp_path)
+        one_by_one = [
+            check_deviation_conjecture(specs, cache_dir=cache),
+            check_omega_conjecture(specs, cache_dir=cache),
+        ]
+        real = verify._materialise
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_materialise", counted)
+        both = run_conjectures(specs, cache_dir=cache)
+        assert len(calls) == 1
+        assert [report_json(r, include_timing=False) for r in both] == [
+            report_json(r, include_timing=False) for r in one_by_one
+        ]
 
 
 class TestExtremal:
@@ -314,7 +336,7 @@ class TestOnePath:
 
             def off_by_one(ctx):
                 ms = real(ctx)
-                return dataclasses.replace(ms, s=ms.s + 1)
+                return ms._replace(s=ms.s + 1)
 
             monkeypatch.setattr(measures, "_measure_set", off_by_one)
         cache = str(tmp_path)
@@ -324,8 +346,7 @@ class TestOnePath:
         for suite_id in SUITE_IDS:
             want = full.get(suite_id)
             if want is None:
-                want = dataclasses.replace(
-                    bounds,
+                want = bounds._replace(
                     suite_id=suite_id,
                     violations=tuple(v for v in bounds.violations if v.check == suite_id),
                     findings=tuple(f for f in bounds.findings if f.check == suite_id),
