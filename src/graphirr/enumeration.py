@@ -2,11 +2,12 @@
 
 Every population grows one vertex at a time: a child is a representative on
 ``size - 1`` vertices plus a new vertex joined to a neighbourhood mask, kept
-once per canonical graph6 code.  The whole range grows from K1 by every mask,
-trees from K1 by single-vertex masks, and unicyclic graphs from C3 by
-single-vertex masks with the cycle C_size added at each size.  This reaches
-every class because deleting any vertex of a graph, or a leaf of a tree or of
-a unicyclic graph other than a cycle, leaves one of the smaller size.
+once per canonical form (graph6 codes are written for the output only).  The
+whole range grows from K1 by every mask, trees from K1 by single-vertex masks,
+and unicyclic graphs from C3 by single-vertex masks with the cycle C_size added
+at each size.  This reaches every class because deleting any vertex of a
+graph, or a leaf of a tree or of a unicyclic graph other than a cycle, leaves
+one of the smaller size.
 
 A whole-range child is built only when its new vertex has minimum degree in
 it: deleting a minimum-degree vertex of any graph leaves a graph of the size
@@ -28,6 +29,7 @@ canonical code, so it is identical for any worker count.
 from __future__ import annotations
 
 import logging
+import marshal
 import os
 import tempfile
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -113,11 +115,6 @@ def _keep(spec: EnumerationSpec, rows: Sequence[int]) -> bool:
     return not spec.irregular_only or len({r.bit_count() for r in rows}) > 1
 
 
-def _add_class(classes: dict[str, Rows], rows: list[int]) -> None:
-    canon = canonical_rows(tuple(rows), len(rows))
-    classes.setdefault(to_graph6(Graph(len(rows), canon)), canon)
-
-
 def _cycle(size: int) -> list[int]:
     return [1 << (v - 1) % size | 1 << (v + 1) % size for v in range(size)]
 
@@ -155,7 +152,7 @@ def _min_degree_masks(
 
 def _children(
     parents: list[Rows], size: int, spec: EnumerationSpec, last: bool
-) -> dict[str, Rows]:
+) -> set[Rows]:
     """Canonical children on ``size`` vertices of the representatives ``parents``.
 
     A whole-range child is built only when its new vertex has minimum degree
@@ -171,7 +168,7 @@ def _children(
         for mask in range(bit):
             by_count[mask.bit_count()].append(mask)
         window = _edge_window(spec, size)
-    classes: dict[str, Rows] = {}
+    classes: set[Rows] = set()
     labels: dict[Rows, int] = {}
     seen: set[Rows] = set()
     for parent in parents:
@@ -190,39 +187,106 @@ def _children(
                 if cert in seen:
                     continue
                 seen.add(cert)
-            _add_class(classes, rows)
+            classes.add(canonical_rows(tuple(rows), size))
     return classes
 
 
-def _last_size(reps: list[Rows], spec: EnumerationSpec, workers: int) -> dict[str, Rows]:
-    """The children of ``reps`` on ``spec.n`` vertices, split over ``workers`` processes."""
-    workers = min(workers, len(reps))
-    if workers <= 1:
-        return _children(reps, spec.n, spec, True)
-    from multiprocessing import Pool  # only here: importing it costs every command start-up time
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; more worker processes than that gain nothing."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    chunks = [(reps[i::workers], spec.n, spec, True) for i in range(workers)]
-    with Pool(workers) as pool:
-        parts = pool.starmap(_children, chunks)
-    return {code: rows for part in parts for code, rows in part.items()}
+
+def _last_size(reps: list[Rows], spec: EnumerationSpec, workers: int) -> set[Rows]:
+    """The children of ``reps`` on ``spec.n`` vertices, split over ``workers`` processes.
+
+    The parent forks one child per share but the first, which it computes
+    itself; each child sends its classes back through a pipe in marshal form.
+    Classes are canonical rows, so the merged set does not depend on the
+    split.  Without ``os.fork`` the whole level runs in this process.
+    """
+    workers = min(workers, len(reps), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return _children(reps, spec.n, spec, True)
+    import signal  # only here: importing it costs every command start-up about 1 ms
+
+    reads: list[int] = []
+    pids: list[int] = []
+    try:
+        for share in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            # SIGINT stays blocked in the child, so it cannot unwind into the
+            # caller's code, and in the parent until the child is on record
+            blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(write, reads, reps[share::workers], spec)
+                pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+                os.close(write)
+        classes = _children(reps[::workers], spec.n, spec, True)
+        # read every pipe to its end before waiting, so no child blocks on a full pipe
+        parts = []
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                parts.append(pipe.read())
+        while pids:
+            _, status = os.waitpid(pids[0], 0)
+            pid = pids.pop(0)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"enumeration worker {pid} failed with status {code}")
+        for part in parts:
+            classes |= marshal.loads(part)
+        return classes
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_share(write: int, reads: list[int], share: list[Rows], spec: EnumerationSpec) -> None:
+    """In a forked child: send the classes of ``share`` down ``write`` and exit.
+
+    The child leaves through ``os._exit`` whatever happens, so it never flushes
+    the parent's buffered output or runs its exit handlers; its status is 0
+    only once the whole answer is written.
+    """
+    status = 1
+    try:
+        for read in reads:
+            os.close(read)
+        with open(write, "wb", closefd=False) as pipe:
+            pipe.write(marshal.dumps(_children(share, spec.n, spec, True)))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _grow(spec: EnumerationSpec, sizes: set[int], workers: int) -> dict[int, list[str]]:
     """Sorted codes of ``spec`` with ``n`` set to each of ``sizes <= spec.n``, one growth."""
     unicyclic = spec.population == "unicyclic"
-    classes: dict[str, Rows] = {} if unicyclic else {to_graph6(Graph(1, (0,))): (0,)}
+    classes: set[Rows] = set() if unicyclic else {(0,)}
     out: dict[int, list[str]] = {}
     for size in range(3 if unicyclic else 1, spec.n + 1):
         if size > 1:
-            reps = list(classes.values())
+            reps = list(classes)
             if size == spec.n:
                 classes = _last_size(reps, spec, workers)
             else:
                 classes = _children(reps, size, spec, False)
         if unicyclic and (size < spec.n or _keep(spec, _cycle(size))):
-            _add_class(classes, _cycle(size))
+            classes.add(canonical_rows(tuple(_cycle(size)), size))
         if size in sizes:
-            out[size] = sorted(code for code, rows in classes.items() if _keep(spec, rows))
+            out[size] = sorted(
+                to_graph6(Graph(size, rows)) for rows in classes if _keep(spec, rows)
+            )
     return out
 
 

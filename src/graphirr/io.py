@@ -8,6 +8,8 @@ line ``n m`` followed by ``m`` lines ``u v`` with 0-based endpoints.
 
 from __future__ import annotations
 
+import binascii
+
 from .errors import CapabilityError, InputError
 from .graph import Graph, from_edge_list
 
@@ -19,6 +21,9 @@ _G6_MAX_N = 258047  # largest n encodable with the 4-byte size form
 # held to its own size limit only, as its text already grows with n^2.
 GEN_MAX_N = 5_000
 GEN_MAX_M = 500_000
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def check_size(what: str, n: int, m: int) -> None:
@@ -38,21 +43,21 @@ def _size_chars(n: int) -> list[int]:
 
 
 def to_graph6(g: Graph) -> str:
-    chars = _size_chars(g.n)
-    acc = 0
-    nbits = 0
-    rows = g.rows
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (rows[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        chars.append((acc << (6 - nbits)) + 63)
-    return "".join(map(chr, chars))
+    """The graph6 code of ``g``, one column of the upper triangle at a time.
+
+    Column j lists x(0, j) .. x(j-1, j), which is bit 0 first of
+    ``rows[j] & (2**j - 1)``.  The columns make one bit string, padded with
+    zeros to a multiple of 24 bits; base64 cuts it into the same 6-bit groups
+    as graph6, so translating its alphabet to bytes 63..126 gives the body.
+    """
+    n, rows = g.n, g.rows
+    # bin() of the column with a 1 set above its top bit, reversed up to that 1
+    bits = "".join([bin(rows[j] & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(1, n)])
+    size = len(bits)
+    pad = -size % 24
+    data = (int(bits, 2) << pad if bits else 0).to_bytes((size + pad) // 8, "big")
+    body = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_G6)
+    return (bytes(_size_chars(n)) + body[: (size + 5) // 6]).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

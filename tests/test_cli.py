@@ -507,11 +507,15 @@ class TestRuntimeDependencies:
         code = "import graphirr.cli, sys; assert 'numpy' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
-    def test_cli_import_does_not_load_multiprocessing(self):
-        # only a run with more than one worker needs the pool
+    def test_worker_run_does_not_load_multiprocessing(self):
+        # extra workers are plain forked processes with a pipe each, not a pool
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = "import graphirr.cli, sys; assert 'multiprocessing' not in sys.modules"
+        code = (
+            "import sys; from graphirr.enumeration import EnumerationSpec, enumerate_range;"
+            " enumerate_range([EnumerationSpec(n=7, m=11, connected_only=True)], workers=2);"
+            " assert 'multiprocessing' not in sys.modules"
+        )
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_cli_import_loads_no_dataclasses(self):

@@ -2,6 +2,7 @@ import logging
 import math
 import os
 import stat
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -381,6 +382,107 @@ class TestDeterminismAndFilters:
 
     def test_connected_below_spanning_empty(self):
         assert enumerate_range([EnumerationSpec(n=5, m=3, connected_only=True)])[0] == []
+
+
+SLICE_7_11 = EnumerationSpec(n=7, m=11, connected_only=True)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Wrap ``os.fork`` so that the returned counter records each call."""
+    calls = [0]
+    real = os.fork
+
+    def counted():
+        calls[0] += 1
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    def test_graph6_written_once_per_output_class(self, monkeypatch):
+        calls = [0]
+        real = enumeration.to_graph6
+
+        def counted(g):
+            calls[0] += 1
+            return real(g)
+
+        monkeypatch.setattr(enumeration, "to_graph6", counted)
+        assert len(enumerate_range([SLICE_7_11])[0]) == calls[0] == 138
+        calls[0] = 0
+        specs = range_specs("all", 6, connected_only=True)
+        assert sum(map(len, enumerate_range(specs))) == calls[0] == 143
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, workers, forks",
+        [
+            ({0, 1}, None, 100, 1),
+            ({0}, None, 100, 0),
+            ({0, 1, 2, 3}, None, 3, 2),  # the worker count caps it first
+            (None, 3, 100, 2),  # no affinity call: the CPU count
+            (None, None, 100, 0),  # nothing known: one process
+        ],
+    )
+    def test_processes_capped_at_usable_cpus(
+        self, monkeypatch, affinity, cpu_count, workers, forks
+    ):
+        expected = enumerate_range([SLICE_7_11])
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        calls = count_forks(monkeypatch)
+        assert enumerate_range([SLICE_7_11], workers=workers) == expected
+        assert calls[0] == forks
+        assert_no_child_left()
+
+    def test_failed_child_raises_in_the_parent(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
+        me, real = os.getpid(), enumeration._children
+
+        def failing(parents, size, spec, last):
+            if os.getpid() != me:
+                raise ValueError("a child's share fails")
+            return real(parents, size, spec, last)
+
+        monkeypatch.setattr(enumeration, "_children", failing)
+        with pytest.raises(RuntimeError, match="failed with status 1"):
+            enumerate_range([SLICE_7_11], workers=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_failed_parent_share_kills_its_children(self, monkeypatch, error):
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
+        me, real = os.getpid(), enumeration._children
+
+        def failing(parents, size, spec, last):
+            if os.getpid() != me:
+                time.sleep(60)  # only a kill ends this child in time
+            elif last:
+                raise error("the parent's share fails")
+            return real(parents, size, spec, last)
+
+        monkeypatch.setattr(enumeration, "_children", failing)
+        start = time.monotonic()
+        with pytest.raises(error, match="parent's share"):
+            enumerate_range([SLICE_7_11], workers=2)
+        assert_no_child_left()
+        assert time.monotonic() - start < 30
+
+    def test_serial_without_fork(self, monkeypatch):
+        specs = [SLICE_7_11, EnumerationSpec(n=6, population="unicyclic")]
+        expected = enumerate_range(specs)
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert enumerate_range(specs, workers=2) == expected
 
 
 #: a fixed-m, irregular-only spec: its cache file has no known class count

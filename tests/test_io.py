@@ -59,6 +59,32 @@ ANY_SIZE = st.one_of(graphs(max_n=8), sparse_graphs(9, 62), sparse_graphs(63, 13
 
 
 @st.composite
+def dense_graphs(draw, min_n: int, max_n: int):
+    """Any edge set on ``min_n``..``max_n`` vertices, each pair drawn as one bit."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return from_edge_list(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
+
+
+def bitwise_graph6(g) -> str:
+    """The graph6 writer packing one bit at a time: the reference for ``to_graph6``."""
+    n = g.n
+    chars = [n + 63] if n <= 62 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+    acc = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = acc << 1 | (g.rows[i] >> j & 1)
+            nbits += 1
+            if nbits == 6:
+                chars.append(acc + 63)
+                acc = nbits = 0
+    if nbits:
+        chars.append((acc << (6 - nbits)) + 63)
+    return "".join(map(chr, chars))
+
+
+@st.composite
 def damaged_graph6(draw) -> str:
     """A graph6 code, maybe with its header, with a slice replaced by arbitrary text."""
     code = draw(st.sampled_from(["", ">>graph6<<"])) + to_graph6(draw(ANY_SIZE))
@@ -72,6 +98,12 @@ class TestGraph6:
     @given(ANY_SIZE)
     def test_bit_exact_vs_networkx(self, g):
         assert to_graph6(g) == nx_graph6(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dense_graphs(1, 62), dense_graphs(63, 70), sparse_graphs(1, 70)))
+    def test_byte_identical_to_bitwise_writer(self, g):
+        # both size forms: one byte up to n = 62, four from n = 63
+        assert to_graph6(g) == bitwise_graph6(g)
 
     @settings(max_examples=200, deadline=None)
     @given(ANY_SIZE)
