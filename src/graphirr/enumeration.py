@@ -37,7 +37,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .canon import Rows, canonical_rows, leaf_certificate
 from .errors import CapabilityError, InputError
 from .graph import Graph, rows_connected
-from .io import to_graph6
+from .io import _body_length, to_graph6
 
 logger = logging.getLogger(__name__)
 
@@ -359,7 +359,7 @@ def _read_cache(path: str, spec: EnumerationSpec) -> Optional[list[str]]:
     Where the OEIS class count is known, the number of lines must equal it.
     """
     n = spec.n
-    size, width = chr(n + 63), 1 + (n * (n - 1) // 2 + 5) // 6
+    size, width = chr(n + 63), 1 + _body_length(n)
     try:
         with open(path, "r", encoding="ascii") as fh:
             codes = fh.read().split()

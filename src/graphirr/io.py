@@ -21,9 +21,10 @@ _G6_MAX_N = 258047  # largest n encodable with the 4-byte size form
 # held to its own size limit only, as its text already grows with n^2.
 GEN_MAX_N = 5_000
 GEN_MAX_M = 500_000
-_BASE64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_G6_CHARS = bytes(range(63, 127))  # a graph6 code is written in these bytes alone
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_G6 = bytes.maketrans(_BASE64, _G6_CHARS)
+_G6_TO_BASE64 = bytes.maketrans(_G6_CHARS, _BASE64)
 
 
 def check_size(what: str, n: int, m: int) -> None:
@@ -42,6 +43,11 @@ def _size_chars(n: int) -> list[int]:
     raise CapabilityError(f"graph6 writer supports n <= {_G6_MAX_N}")
 
 
+def _body_length(n: int) -> int:
+    """Characters after the size bytes: n(n-1)/2 bits, 6 to a character."""
+    return (n * (n - 1) // 2 + 5) // 6
+
+
 def to_graph6(g: Graph) -> str:
     """The graph6 code of ``g``, one column of the upper triangle at a time.
 
@@ -57,45 +63,53 @@ def to_graph6(g: Graph) -> str:
     pad = -size % 24
     data = (int(bits, 2) << pad if bits else 0).to_bytes((size + pad) // 8, "big")
     body = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_G6)
-    return (bytes(_size_chars(n)) + body[: (size + 5) // 6]).decode("ascii")
+    return (bytes(_size_chars(n)) + body[: _body_length(n)]).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
+    """The graph of one graph6 code, decoded as :func:`to_graph6` encodes it.
+
+    The body is translated back to base64 and decoded to one integer whose
+    bits are the upper triangle in column order; column j, reversed, is the
+    part of ``rows[j]`` below j, and each of its bits is mirrored into the
+    row of the other end.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise InputError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if not s.isascii() or s.encode("ascii").translate(None, _G6_CHARS):
         if len(s.split()) > 1:
             raise InputError("input holds more than one graph6 code; give one graph")
         raise InputError("graph6 string contains bytes outside 63..126")
-    if data[0] == 63:
+    data = s.encode("ascii")
+    if data[0] == 126:
         if len(data) < 4:
             raise InputError("truncated graph6 size field")
-        if data[1] == 63:  # the 8-byte size form, used only for larger n
+        if data[1] == 126:  # the 8-byte size form, used only for larger n
             raise CapabilityError(f"graph6 reader supports n <= {_G6_MAX_N}")
-        n = data[1] << 12 | data[2] << 6 | data[3]
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
         body = data[4:]
     else:
-        n = data[0]
+        n = data[0] - 63
         body = data[1:]
     if n < 1:
         raise InputError("graph6 graph must have at least one vertex")
-    need = (n * (n - 1) // 2 + 5) // 6
+    need = _body_length(n)
     if len(body) != need:
         raise InputError(
             f"graph6 body length {len(body)} does not match n={n} (expected {need})"
         )
+    packed = binascii.a2b_base64(body.translate(_G6_TO_BASE64) + b"A" * (-need % 4))
+    bits = f"{int.from_bytes(packed, 'big'):0{8 * len(packed)}b}"  # pair k is bits[k]
     rows = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if body[k // 6] >> (5 - k % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
+        rows[j] = column = int(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= 1 << j
+            column ^= low
     return Graph(n, tuple(rows))
 
 

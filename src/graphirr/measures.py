@@ -18,19 +18,23 @@ first use, so graphs that share a profile share a context and ``verify``
 evaluates them once per profile.  ``bound_report``, ``tree_formulas`` and
 ``cyclic_formulas`` take a graph, build its context and call the private
 function of the same name, which reads the context alone; ``verify`` calls
-that one with the context of a whole profile.
+the private closed forms, and ``_evaluate`` one bound at a time, with the
+context of a whole profile.
 The two-walk fit in ``spectral`` reads neighbour-degree sums and is the only
 check made per graph.
 
-Each bound is reported by ``verify``'s ``bounds`` suite alone; its equality
-case may stand for a closed form (on bidegreed graphs ``var_le_product_bound``
-is tight, with right side Nmax*Nmin*(D-d)^2/n^2).
+Each bound is checked by ``verify``'s ``bounds`` suite and by the report of
+its own id, which covers the graphs the bound applies to.  Its equality case
+may stand for a closed form: ``s_le_pendant_cyclic_cap`` is tight exactly on
+unicyclic graphs, where it reads S = 2*N1, and ``var_le_product_bound`` is
+tight on bidegreed graphs, with right side Nmax*Nmin*(D-d)^2/n^2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import ge, le, lt
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InputError
@@ -163,10 +167,9 @@ class _BoundDef(NamedTuple):
     applies: Callable[[GraphContext], bool]
     lhs: Callable[[GraphContext], Fraction]
     rhs: Callable[[GraphContext], Fraction]
-    direction: str  # "le" or "ge", always lhs OP rhs
+    holds: Callable[[Fraction, Fraction], bool]  # holds(lhs, rhs): operator.le, ge or lt
     predicted: Callable[[GraphContext], bool]
     equality_mode: str  # "iff", or "if" (sufficient only)
-    strict: bool = False
     ambiguous: bool = False  # condition mismatches are findings, not failures
 
 
@@ -209,7 +212,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         applies=lambda c: True,
         lhs=lambda c: c.ms.var,
         rhs=lambda c: Fraction(c.gap, 2 * c.n) * c.ms.s,
-        direction="le",
+        holds=le,
         predicted=_degrees_within_extremes_or_mean,
         equality_mode="iff",
     ),
@@ -219,7 +222,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         applies=lambda c: True,
         lhs=lambda c: c.ms.s,
         rhs=lambda c: c.ms.irr,
-        direction="le",
+        holds=le,
         predicted=_regular_or_balanced,
         equality_mode="iff",
     ),
@@ -229,7 +232,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         applies=lambda c: True,
         lhs=lambda c: c.ms.var,
         rhs=lambda c: Fraction(c.gap * c.gap, 4),
-        direction="le",
+        holds=le,
         predicted=_regular_or_balanced,
         equality_mode="iff",
     ),
@@ -239,7 +242,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         applies=lambda c: True,
         lhs=lambda c: c.ms.var,
         rhs=lambda c: c.product_bound,
-        direction="le",
+        holds=le,
         predicted=_two_degrees,
         equality_mode="iff",
     ),
@@ -249,7 +252,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         applies=lambda c: True,
         lhs=lambda c: c.ms.s,
         rhs=lambda c: Fraction(2 * c.n_max * c.n_min * c.gap, c.n),
-        direction="ge",
+        holds=ge,
         predicted=_two_degrees,
         equality_mode="iff",
         ambiguous=True,
@@ -262,7 +265,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         rhs=lambda c: Fraction((c.n_max + c.n_min) ** 2, c.n**4)
         * c.ms.irr
         * c.ms.ird,
-        direction="ge",
+        holds=ge,
         predicted=_two_degrees,
         equality_mode="iff",
     ),
@@ -277,7 +280,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
             2 * c.n - 1 - c.stats.min_degree,
         )
         - c.avg * c.avg,
-        direction="le",
+        holds=le,
         predicted=_is_split,
         equality_mode="if",
     ),
@@ -287,7 +290,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         applies=lambda c: c.cls.is_connected,
         lhs=lambda c: c.ms.s * c.ms.s,
         rhs=lambda c: c.n * c.n * c.ms.var,
-        direction="le",
+        holds=le,
         predicted=_regular_or_balanced,
         equality_mode="iff",
     ),
@@ -299,7 +302,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         rhs=lambda c: Fraction(
             2 * c.m * (2 * c.m + (c.n - 1) * c.gap), c.n + c.gap
         ),
-        direction="le",
+        holds=le,
         predicted=lambda c: c.cls.is_regular or _is_split(c),
         equality_mode="if",
     ),
@@ -309,10 +312,9 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         applies=lambda c: c.cls.is_connected and not c.cls.is_regular,
         lhs=lambda c: c.ms.omega if c.ms.omega is not None else Fraction(0),
         rhs=lambda c: Fraction(1, 2),
-        direction="le",
+        holds=lt,
         predicted=_false,
         equality_mode="if",
-        strict=True,
     ),
     _BoundDef(
         bound_id="omega_ge_cyclic_floor",
@@ -320,7 +322,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         applies=lambda c: _cyclic_range(c) and not c.cls.is_regular,
         lhs=lambda c: c.ms.omega if c.ms.omega is not None else Fraction(0),
         rhs=lambda c: Fraction(1, c.n) - Fraction(2) / c.ms.s,
-        direction="ge",
+        holds=ge,
         predicted=_false,
         equality_mode="if",
     ),
@@ -332,14 +334,11 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         rhs=lambda c: Fraction(
             2 * (c.stats.histogram.get(1, 0) + 2 * (c.cls.cyclomatic or 0) - 2)
         ),
-        direction="le",
+        holds=le,
         predicted=lambda c: c.cls.is_unicyclic,
         equality_mode="iff",
     ),
 )
-
-AMBIGUOUS_BOUNDS = frozenset(b.bound_id for b in _BOUNDS if b.ambiguous)
-BOUND_IDS = tuple(b.bound_id for b in _BOUNDS)
 
 
 def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
@@ -357,10 +356,6 @@ def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
     lhs = defn.lhs(ctx)
     rhs = defn.rhs(ctx)
     equal = lhs == rhs
-    if defn.direction == "le":
-        holds = lhs < rhs if defn.strict else lhs <= rhs
-    else:
-        holds = lhs > rhs if defn.strict else lhs >= rhs
     predicted = defn.predicted(ctx)
     if defn.equality_mode == "iff":
         agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
@@ -371,7 +366,7 @@ def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
         formula=defn.formula,
         lhs=lhs,
         rhs=rhs,
-        holds=holds,
+        holds=defn.holds(lhs, rhs),
         is_equality=equal,
         predicted_equality=predicted,
         agreement=agree,
@@ -458,7 +453,6 @@ def _tree_formulas(ctx: GraphContext) -> TreeFormulas:
 class CyclicFormulas(NamedTuple):
     s_closed: Fraction
     var_closed: Fraction
-    unicyclic_s: Optional[Fraction]  # 2*N1, present only when m == n
     unicyclic_residue: Optional[Fraction]  # n*Var - S, present only when m == n
 
 
@@ -479,11 +473,9 @@ def _cyclic_formulas(ctx: GraphContext) -> CyclicFormulas:
     var_closed = Fraction(
         sum((d - 1) * (d - 2) * c for d, c in hist.items() if d >= 3), n
     ) - Fraction(2 * (2 * m - n) * (m - n), n * n)
-    unicyclic = m == n
     residue = sum((d - 2) * (d - 3) * c for d, c in hist.items() if d >= 4)
     return CyclicFormulas(
         s_closed=s_closed,
         var_closed=var_closed,
-        unicyclic_s=Fraction(2 * hist.get(1, 0)) if unicyclic else None,
-        unicyclic_residue=Fraction(residue) if unicyclic else None,
+        unicyclic_residue=Fraction(residue) if m == n else None,
     )

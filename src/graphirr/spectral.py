@@ -15,19 +15,27 @@ with the two main eigenvalues lambda, mu = (a +- sqrt(D))/2, D = a^2 + 4b.
   d_v - mu cannot all be negative, so lambda is the spectral radius iff
   Dmin > mu.  With t = a - 2*Dmin that is ``t < 0 or D > t^2``: a test on
   integers that decides the radius without computing it.
+
+Every affine fit of a connected irregular graph is such a pair, so
+:func:`two_walk_params` rejects nothing once the line is found:
+
+* a = lambda + mu and b = -lambda*mu are rational, and lambda, mu are
+  eigenvalues of an integer matrix, hence algebraic integers; a rational
+  algebraic integer is an integer.
+* a^2 + 4b = (lambda - mu)^2 >= 0.
+* a >= 0: if lambda is the spectral radius then |mu| <= lambda; otherwise
+  d - mu*1 is an eigenvector of a non-Perron eigenvalue, so its entries
+  change sign and mu > Dmin >= 1, with lambda > mu too.
 """
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import InputError
 from .graph import Graph, is_connected
 from .measures import GraphContext, context
-
-logger = logging.getLogger(__name__)
 
 
 class _Fit(NamedTuple):
@@ -72,15 +80,8 @@ def two_walk_params(g: Graph) -> Optional[TwoWalkParams]:
     b_den = s_u * den - num * degs[u]
     if any(degree_sum(w) * den != num * degs[w] + b_den for w in range(g.n)):
         return None
-    if num % den:
-        logger.debug("affine neighbour-sum fit is not integral: a=%d/%d", num, den)
-        return None
-    ai = num // den
-    bi = s_u - ai * degs[u]
-    if ai < 0 or ai * ai + 4 * bi < 0:
-        logger.debug("affine fit rejected: a=%s b=%s", ai, bi)
-        return None
-    return TwoWalkParams(a=ai, b=bi)
+    a = num // den  # exact: see the module docstring
+    return TwoWalkParams(a=a, b=s_u - a * degs[u])
 
 
 def two_walk_radius_test(p: TwoWalkParams, min_degree: int) -> tuple[bool, int, int]:

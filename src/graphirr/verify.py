@@ -15,9 +15,12 @@ through the loop of :func:`_per_profile`, which makes the report's check once
 for each context it applies to and records the outcome under every code of
 that profile.  The two-walk fit of ``spectral`` reads neighbour-degree sums,
 which the degrees do not determine, and is the only check made per graph.
-No suite restates a check that another makes on the same graphs, except
-``balanced``, whose two identities are equality cases of ``s_le_irr`` and
-``s_sq_le_n_sq_var``.
+Every report id is one entry of ``_REPORTS``: the suites, one entry per
+bound of ``measures._BOUNDS``, which checks that bound alone on the graphs it
+applies to, and the two conjecture scans.
+No suite of ``--suite all`` restates a check that another makes on the same
+graphs, except ``balanced``, whose two identities are equality cases of
+``s_le_irr`` and ``s_sq_le_n_sq_var``.
 
 Reports are deterministic: all outcome lists are sorted by graph code before
 packaging, so grouping, worker count and scheduling cannot change the result.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .canon import canonical_code
@@ -35,16 +39,15 @@ from .errors import InputError
 from .graph import Graph
 from .io import parse_graph6
 from .measures import (
-    AMBIGUOUS_BOUNDS,
-    BOUND_IDS,
+    _BOUNDS,
     CONDITION_MISMATCH,
-    NOT_APPLICABLE,
     GraphContext,
-    _bound_report,
+    _BoundDef,
     _branch_weight,
     _cyclic_formulas,
     _cyclic_range,
     _degrees_within_extremes_or_mean,
+    _evaluate,
     _tree_formulas,
     context,
 )
@@ -174,21 +177,26 @@ def _materialise(
 # --- degree-only checks, each made once for a profile -----------------------
 
 
+def _check_bound(defn: _BoundDef, out: _Outcome, ctx: GraphContext) -> None:
+    """One bound on a profile it applies to: the inequality and its equality case."""
+    rec = _evaluate(defn, ctx)
+    out.expect(defn.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed")
+    if rec.agreement == CONDITION_MISMATCH:
+        note = (
+            "equality observed without the documented condition"
+            if rec.is_equality
+            else "documented equality condition held strictly"
+        )
+        if defn.ambiguous:
+            out.find(defn.bound_id, note)
+        else:
+            out.expect(defn.bound_id, False, rec.lhs, rec.rhs, note)
+
+
 def _check_bounds(out: _Outcome, ctx: GraphContext) -> None:
-    for rec in _bound_report(ctx):
-        if rec.agreement == NOT_APPLICABLE:
-            continue
-        out.expect(rec.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed")
-        if rec.agreement == CONDITION_MISMATCH:
-            note = (
-                "equality observed without the documented condition"
-                if rec.is_equality
-                else "documented equality condition held strictly"
-            )
-            if rec.bound_id in AMBIGUOUS_BOUNDS:
-                out.find(rec.bound_id, note)
-            else:
-                out.expect(rec.bound_id, False, rec.lhs, rec.rhs, note)
+    for defn in _BOUNDS:
+        if defn.applies(ctx):
+            _check_bound(defn, out, ctx)
 
 
 def _check_bidegreed(out: _Outcome, ctx: GraphContext) -> None:
@@ -379,7 +387,8 @@ def _connected_bidegreed(c: GraphContext) -> bool:
     return c.cls.is_connected and c.cls.is_bidegreed
 
 
-_SUITES: dict[str, _Run] = {
+# the suites of ``verify --suite all``, then one report per bound, then the scans
+_REPORTS: dict[str, _Run] = {
     "bounds": _per_profile(lambda c: True, _check_bounds),
     "bidegreed": _per_profile(_connected_bidegreed, _check_bidegreed),
     "balanced": _per_profile(
@@ -394,12 +403,13 @@ _SUITES: dict[str, _Run] = {
     "spectral": _suite_spectral,
     "max_zagreb_universal": _suite_max_zagreb_universal,
 }
-_SCANS: dict[str, _Run] = {
+_SUITES = tuple(_REPORTS)
+_REPORTS |= {d.bound_id: _per_profile(d.applies, partial(_check_bound, d)) for d in _BOUNDS}
+SUITE_IDS = tuple(_REPORTS)
+_REPORTS |= {
     "conjecture-ird": _per_profile(lambda c: True, _check_deviation_conjecture),
     "conjecture-omega": _per_profile(lambda c: not c.cls.is_regular, _check_omega_conjecture),
 }
-
-SUITE_IDS = tuple(_SUITES) + tuple(BOUND_IDS)
 
 
 def _reports(
@@ -417,7 +427,7 @@ def _reports(
     reports = []
     for report_id in report_ids:
         start = time.perf_counter()
-        out = {**_SUITES, **_SCANS}[report_id](profiles)
+        out = _REPORTS[report_id](profiles)
         reports.append(
             VerificationReport(
                 suite_id=report_id,
@@ -441,18 +451,13 @@ def run_suite(
 ) -> VerificationReport:
     """Run one suite over a population and package a deterministic report.
 
-    A bound id gives the ``bounds`` report cut down to that bound's outcomes.
+    A bound id checks that bound alone, over the graphs it applies to: its
+    ``graphs_checked`` counts those graphs, and its outcomes are the ones the
+    ``bounds`` report records under that id.
     """
     if suite_id not in SUITE_IDS:
         raise InputError(f"unknown suite {suite_id!r}; choose from {sorted(SUITE_IDS)}")
-    if suite_id in _SUITES:
-        return _reports(population, [suite_id], workers, cache_dir)[0]
-    (rep,) = _reports(population, ["bounds"], workers, cache_dir)
-    return rep._replace(
-        suite_id=suite_id,
-        violations=tuple(v for v in rep.violations if v.check == suite_id),
-        findings=tuple(f for f in rep.findings if f.check == suite_id),
-    )
+    return _reports(population, [suite_id], workers, cache_dir)[0]
 
 
 def run_all_suites(
@@ -474,7 +479,7 @@ def run_conjectures(
     cache_dir: Optional[str] = None,
 ) -> list[VerificationReport]:
     """Both conjecture scans over one materialisation of ``population``."""
-    return _reports(population, _SCANS, workers, cache_dir)
+    return _reports(population, ["conjecture-ird", "conjecture-omega"], workers, cache_dir)
 
 
 def check_deviation_conjecture(

@@ -17,7 +17,7 @@ from graphirr.enumeration import EnumerationSpec, enumerate_range
 from graphirr.families import complete_split, named, path, wheel
 from graphirr.graph import Graph, classify, degree_stats
 from graphirr.io import parse_graph6
-from graphirr.measures import AMBIGUOUS_BOUNDS, measure_set
+from graphirr.measures import measure_set
 from graphirr.spectral import (
     two_walk_params,
     two_walk_radius_test,
@@ -210,7 +210,7 @@ def test_inequality_suites_exhaustive(
     for rep in reports:
         assert not rep.violations, (rep.suite_id, rep.violations[:5])
         for finding in rep.findings:
-            assert finding.check in AMBIGUOUS_BOUNDS, finding
+            assert finding.check == "s_ge_scaled_ird", finding  # the one ambiguous bound
     assert elapsed < 1800.0, f"suites took {elapsed:.0f}s"
 
 

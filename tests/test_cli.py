@@ -348,6 +348,31 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "bounds", "--max-n", "4")
         assert code == 0 and "suite=bounds" in out
 
+    @pytest.mark.parametrize(
+        "bound_id, checked",
+        [
+            ("var_le_gap_s", 143),
+            ("s_le_irr", 143),
+            ("var_le_gap_sq4", 143),
+            ("var_le_product_bound", 143),
+            ("s_ge_scaled_ird", 143),
+            ("var_ge_scaled_irr_ird", 143),
+            ("dominating_var_cap", 47),  # a universal vertex
+            ("s_sq_le_n_sq_var", 143),
+            ("zagreb_le_split_bound", 143),
+            ("omega_lt_half", 131),  # irregular
+            ("omega_ge_cyclic_floor", 86),  # cycle rank 1 .. (n+2)/2, irregular
+            ("s_le_pendant_cyclic_cap", 93),  # cycle rank 1 .. (n+2)/2
+        ],
+    )
+    def test_bound_counts_the_graphs_it_applies_to(self, capsys, tmp_path, bound_id, checked):
+        # of the 143 connected classes on at most 6 vertices
+        csv_file = tmp_path / "summary.csv"
+        argv = ["--suite", bound_id, "--max-n", "6", "--csv", str(csv_file)]
+        code, out, _ = run(capsys, "verify", *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and f"suite={bound_id} checked={checked} violations=0" in out
+        assert csv_file.read_text().splitlines()[1] == f"{bound_id},{checked},0,0,0"
+
     def test_tree_population(self, capsys):
         code, out, _ = run(
             capsys,

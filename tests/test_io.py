@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphirr.errors import CapabilityError, InputError
 from graphirr.families import complete_split, cycle, path, star
-from graphirr.graph import from_edge_list
+from graphirr.graph import Graph, from_edge_list
 from graphirr.io import (
     GEN_MAX_M,
     GEN_MAX_N,
@@ -84,6 +84,38 @@ def bitwise_graph6(g) -> str:
     return "".join(map(chr, chars))
 
 
+def bitwise_parse_graph6(code: str) -> Graph:
+    """The graph6 reader unpacking one bit at a time: the reference for ``parse_graph6``.
+
+    Takes a well-formed code without a header; bits past the last pair are ignored.
+    """
+    data = [ord(c) - 63 for c in code]
+    if data[0] == 63:
+        n, body = data[1] << 12 | data[2] << 6 | data[3], data[4:]
+    else:
+        n, body = data[0], data[1:]
+    rows = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if body[k // 6] >> (5 - k % 6) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return Graph(n, tuple(rows))
+
+
+@st.composite
+def raw_graph6(draw, min_n: int, max_n: int) -> str:
+    """A well-formed code with every body character drawn, padding bits included."""
+    n = draw(st.integers(min_n, max_n))
+    size = [n + 63] if n <= 62 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+    length = (n * (n - 1) // 2 + 5) // 6
+    bits = draw(st.integers(0, (1 << 6 * length) - 1))
+    body = [(bits >> 6 * k & 63) + 63 for k in range(length)]
+    return "".join(map(chr, size + body))
+
+
 @st.composite
 def damaged_graph6(draw) -> str:
     """A graph6 code, maybe with its header, with a slice replaced by arbitrary text."""
@@ -104,6 +136,16 @@ class TestGraph6:
     def test_byte_identical_to_bitwise_writer(self, g):
         # both size forms: one byte up to n = 62, four from n = 63
         assert to_graph6(g) == bitwise_graph6(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(raw_graph6(1, 62), raw_graph6(63, 70)))
+    def test_same_graph_as_bitwise_reader(self, code):
+        # both size forms: one byte up to n = 62, four from n = 63
+        assert parse_graph6(code) == bitwise_parse_graph6(code)
+
+    def test_large_path_same_graph_as_bitwise_reader(self):
+        code = to_graph6(path(5000))
+        assert parse_graph6(code) == bitwise_parse_graph6(code) == path(5000)
 
     @settings(max_examples=200, deadline=None)
     @given(ANY_SIZE)

@@ -309,18 +309,27 @@ class TestTreeFormulas:
                 assert tf.ird_lower <= ms.ird <= tf.ird_upper
 
 
+def pendant_cyclic_cap(g):
+    """The ``s_le_pendant_cyclic_cap`` record: S <= 2(N1 + 2c - 2), so S = 2*N1 at c = 1."""
+    (rec,) = (r for r in bound_report(g) if r.bound_id == "s_le_pendant_cyclic_cap")
+    return rec
+
+
 class TestCyclicFormulas:
     def test_cycles_zero(self):
         for n in (3, 6, 9):
             cf = cyclic_formulas(cycle(n))
             assert cf.s_closed == 0 and cf.var_closed == 0
-            assert cf.unicyclic_s == 0
+            rec = pendant_cyclic_cap(cycle(n))
+            assert rec.lhs == rec.rhs == 0 and rec.agreement == "confirmed"
 
     def test_tadpole(self):
         g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
         cf = cyclic_formulas(g)
         ms = measure_set(g)
-        assert cf.unicyclic_s == 2 == ms.s
+        rec = pendant_cyclic_cap(g)
+        assert rec.rhs == 2 == rec.lhs == ms.s  # one pendant vertex
+        assert rec.is_equality and rec.predicted_equality and rec.agreement == "confirmed"
         assert cf.s_closed == ms.s and cf.var_closed == ms.var
 
     def test_unicyclic_small_degree_identity(self, unicyclic_upto9):

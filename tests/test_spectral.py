@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from graphirr.enumeration import EnumerationSpec, enumerate_range
+from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
 from graphirr.errors import InputError
 from graphirr.families import (
     complete_split,
@@ -14,7 +14,7 @@ from graphirr.families import (
     wheel,
 )
 from graphirr.graph import from_edge_list
-from graphirr.io import parse_graph6
+from graphirr.io import parse_graph6, to_graph6
 from graphirr.measures import measure_set
 from graphirr.spectral import (
     TwoWalkParams,
@@ -76,6 +76,43 @@ class TestDetection:
             TwoWalkParams(a=-1, b=5)
         with pytest.raises(InputError):
             TwoWalkParams(a=1, b=-1)
+
+
+def affine_fit(g):
+    """Exact (a, b) with S(u) = a*d(u) + b at every vertex, or None: a line through two points."""
+    degs = g.degrees()
+    sums = {}
+    for u in range(g.n):
+        sums.setdefault(degs[u], set()).add(sum(degs[v] for v in g.neighbors(u)))
+    if any(len(s) > 1 for s in sums.values()):
+        return None  # one degree, two neighbour sums
+    (d0, (s0,)), (d1, (s1,)) = sorted(sums.items())[:2]
+    a = F(s1 - s0, d1 - d0)
+    b = s0 - a * d0
+    return (a, b) if all(s == a * d + b for d, (s,) in sums.items()) else None
+
+
+class TestEveryAffineFit:
+    """An affine neighbour-sum fit of a connected irregular graph is always a valid pair."""
+
+    @pytest.mark.slow
+    def test_connected_8_trees_12_unicyclic_10(self):
+        specs = (
+            range_specs("all", 8, connected_only=True)
+            + range_specs("trees", 12)
+            + range_specs("unicyclic", 10)
+        )
+        fits = 0
+        for codes in enumerate_range(specs):
+            for g in map(parse_graph6, codes):
+                if len(set(g.degrees())) < 2:
+                    continue
+                want, got = affine_fit(g), two_walk_params(g)
+                assert (got is None) == (want is None), to_graph6(g)
+                if got is not None:
+                    assert (got.a, got.b) == want, to_graph6(g)
+                    fits += 1
+        assert fits == 180
 
 
 class TestVarianceIdentity:

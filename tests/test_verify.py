@@ -17,7 +17,7 @@ from graphirr.errors import InputError
 from graphirr.families import complete, complete_split, path, star, wheel
 from graphirr.graph import classify, degree_stats, from_edge_list
 from graphirr.io import parse_graph6, to_graph6
-from graphirr.measures import measure_set
+from graphirr.measures import bound_report, measure_set
 from graphirr.serialize import report_json
 from graphirr.spectral import TwoWalkParams
 from graphirr.verify import (
@@ -326,12 +326,16 @@ def test_extremal_search_is_the_brute_force_maximum(n, m):
 
 
 class TestOnePath:
-    """``run_suite`` reports what the full run reports for the same id."""
+    """``run_suite`` reports what the full run reports for the same id.
+
+    A bound id reports that bound's outcomes from the ``bounds`` report, over
+    the graphs the bound applies to.
+    """
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["connected-6", "s-plus-one"])
     def test_run_suite_matches_run_all_suites(self, perturbed, monkeypatch, tmp_path):
         population = range_specs("all", 6, connected_only=True)
-        if perturbed:  # S + 1 makes checks fail, so the bound filter has outcomes to keep
+        if perturbed:  # S + 1 makes checks fail, so each bound has outcomes to report
             real = measures._measure_set
 
             def off_by_one(ctx):
@@ -342,12 +346,20 @@ class TestOnePath:
         cache = str(tmp_path)
         full = {rep.suite_id: rep for rep in run_all_suites(population, cache_dir=cache)}
         bounds = full["bounds"]
+        applies = Counter(  # graph by graph, each bound's count of graphs it applies to
+            rec.bound_id
+            for codes in enumerate_range(population, cache_dir=cache)
+            for code in codes
+            for rec in bound_report(parse_graph6(code))
+            if rec.agreement != measures.NOT_APPLICABLE
+        )
         kept = 0
         for suite_id in SUITE_IDS:
             want = full.get(suite_id)
             if want is None:
                 want = bounds._replace(
                     suite_id=suite_id,
+                    graphs_checked=applies[suite_id],
                     violations=tuple(v for v in bounds.violations if v.check == suite_id),
                     findings=tuple(f for f in bounds.findings if f.check == suite_id),
                 )
@@ -358,6 +370,7 @@ class TestOnePath:
             )
         assert kept == len(bounds.violations)  # every bounds outcome is some bound's
         assert (kept > 0) == perturbed
+        assert len(applies) == 12 and min(applies.values()) < bounds.graphs_checked
 
 
 class TestUnitGapOmega:
