@@ -1,12 +1,15 @@
 """Canonical labelling for small graphs.
 
 Two graphs receive the same canonical form exactly when they are isomorphic.
-The approach is classic: refine an initial degree colouring until stable
-(each colour key is an isomorphism invariant, so colour classes are unions
-of automorphism orbits), then search over colour-respecting vertex orders
-for the one that maximises the adjacency bit string, pruning orders whose
-prefix already compares worse.  This is exact for any graph; the size cap
-only bounds the worst-case search.
+An initial degree colouring is refined until stable (each colour key is an
+isomorphism invariant, so colour classes are unions of automorphism orbits).
+The canonical form relabels the graph by the colour-respecting vertex order
+with the largest adjacency code, found in one pass over the positions: since
+every prefix can be completed, the best orders extend exactly the best
+prefixes, so only the prefixes tied for the largest code so far are kept, and
+of two tied twins (vertices whose neighbourhoods differ at most in each other)
+only one.  This is exact for any graph; the size cap only bounds the number
+of tied prefixes.
 """
 
 from __future__ import annotations
@@ -47,81 +50,54 @@ def _stable_colors(rows: Rows, n: int) -> list[int]:
 
 
 def _search_order(rows: Rows, n: int, colors: list[int]) -> list[int]:
-    """Branch-and-bound for the colour-respecting order with maximal code.
+    """The colour-respecting vertex order with the largest code, in one pass.
 
-    ``cur[i]`` holds vertex i's adjacency bits towards the already placed
-    vertices, packed into an int (earlier position = higher bit).  Orders are
-    compared lexicographically on that sequence; only orders assigning each
-    position a vertex of the position's colour are considered, which is sound
-    because no isomorphism maps vertices of different stable colours onto
-    each other.  High colours (denser vertices) are placed first so edge bits
-    appear early and prefixes diverge quickly.
+    An order's code is the sequence whose entry i packs the adjacency bits of
+    the vertex at position i towards positions 0..i-1 (earlier position =
+    higher bit); codes compare lexicographically.  Position i takes only a
+    vertex of the i-th colour of the template, the vertex colours sorted in
+    decreasing order, which is sound because no isomorphism maps vertices of
+    different stable colours onto each other; high colours (denser vertices)
+    come first so edge bits appear early and prefixes diverge quickly.
 
-    Tie cutting: when two tied candidates are twins (their neighbourhoods
-    differ at most in each other), swapping them is an automorphism fixing
-    everything else, so only one branch is explored.
+    The loop over positions keeps every prefix whose code ties for the
+    largest so far.  Any prefix can be completed, since the unplaced vertices
+    always have the colours the template still needs, so the largest prefixes
+    of length i+1 extend exactly the largest of length i, and every order
+    left at length n gives the same relabelled rows.
+
+    Twin rule: two tied candidates of one prefix whose neighbourhoods differ
+    at most in each other are twins; swapping them is an automorphism fixing
+    the prefix, so only one of them is kept.
     """
-    template = sorted(range(n), key=colors.__getitem__, reverse=True)
-    pos_color = [colors[v] for v in template]
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
-
-    used = [False] * n
-    placed: list[int] = []
-    cur = [0] * n
-    best: list[int] | None = None
-    best_order: list[int] | None = None
-    gen = 0
-
-    def extend(i: int, tight: bool) -> None:
-        nonlocal best, best_order, gen
-        if i == n:
-            if not tight:
-                best = cur[:]
-                best_order = placed[:]
-                gen += 1
-            return
-        scored = []
-        for v in by_color[pos_color[i]]:
-            if used[v]:
-                continue
-            bits = 0
-            rv = rows[v]
-            for u in placed:
-                bits = bits << 1 | (rv >> u & 1)
-            scored.append((bits, v))
-        scored.sort(reverse=True)
-        tried: list[tuple[int, int]] = []
-        for bits, v in scored:
-            if tight and best is not None:
-                if bits < best[i]:
-                    break  # descending order: the rest are worse too
-                child_tight = bits == best[i]
-            else:
-                child_tight = False
-            rv = rows[v]
-            vbit = 1 << v
-            if any(
-                b == bits and not (rows[u] ^ rv) & ~(1 << u | vbit)
-                for b, u in tried
-            ):
-                continue
-            tried.append((bits, v))
-            cur[i] = bits
-            used[v] = True
-            placed.append(v)
-            before = gen
-            extend(i + 1, child_tight)
-            placed.pop()
-            used[v] = False
-            if gen != before:
-                # new best came through this prefix, so it now ties it
-                tight = True
-
-    extend(0, best is not None)
-    assert best_order is not None
-    return best_order
+    prefixes: list[list[int]] = [[]]
+    for color in sorted(colors, reverse=True):
+        best = -1
+        grown: list[list[int]] = []
+        for placed in prefixes:
+            scored = []
+            for v in by_color[color]:
+                if v not in placed:
+                    bits = 0
+                    rv = rows[v]
+                    for u in placed:
+                        bits = bits << 1 | (rv >> u & 1)
+                    scored.append((bits, v))
+            top = max(scored)[0]
+            if top > best:
+                best, grown = top, []
+            if top == best:
+                kept: list[int] = []
+                for bits, v in scored:
+                    rv = rows[v]
+                    if bits == top and all((rows[u] ^ rv) & ~(1 << u | 1 << v) for u in kept):
+                        kept.append(v)
+                        grown.append(placed + [v])
+        prefixes = grown
+    return prefixes[0]
 
 
 def canonical_order(rows: Rows, n: int) -> list[int]:
@@ -129,10 +105,6 @@ def canonical_order(rows: Rows, n: int) -> list[int]:
     colors = _stable_colors(rows, n)
     if len(set(colors)) == n:
         return sorted(range(n), key=colors.__getitem__, reverse=True)
-    m2 = sum(r.bit_count() for r in rows)
-    if m2 == 0 or m2 == n * (n - 1):
-        # empty or complete: every order yields the same matrix
-        return list(range(n))
     return _search_order(rows, n, colors)
 
 

@@ -42,6 +42,7 @@ from .measures import _bound_report, context
 from .serialize import (
     bound_record_json,
     fraction_decimal,
+    fraction_json,
     fraction_text,
     measure_set_json,
     report_json,
@@ -124,10 +125,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             else {
                 "a": spectral[0].a,
                 "b": spectral[0].b,
-                "var_via_params": {
-                    "num": spectral[1].var_via_params.numerator,
-                    "den": spectral[1].var_via_params.denominator,
-                },
+                "var_via_params": fraction_json(spectral[1].var_via_params),
                 "matches": spectral[1].matches,
             },
         }
@@ -217,15 +215,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         n = sum(sizes)
         check_size("gen", n, (n * n - sum(s * s for s in sizes)) // 2)
         g = complete_multipartite(sizes)
-    elif fam in _FAMILIES:
+    else:
         arity, size, build = _FAMILIES[fam]
         if len(args.params) != arity:
             raise InputError(f"family {fam!r} takes {arity} integer parameter(s)")
         params = _int_params(args.params)
         check_size("gen", *size(*params))
         g = build(*params)
-    else:
-        raise InputError(f"unknown family {fam!r}")
     if args.edges:
         sys.stdout.write(format_edge_list(g))
     else:

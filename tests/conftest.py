@@ -147,6 +147,18 @@ def connected_7() -> list[Graph]:
 
 
 @pytest.fixture(scope="session")
+def all_codes_8() -> list[str]:
+    """Codes of the whole n=8 population (12 346 classes), built once per test run."""
+    (codes,) = enumerate_range([EnumerationSpec(n=8)])
+    return codes
+
+
+@pytest.fixture(scope="session")
+def connected_codes_8(all_codes_8) -> list[str]:
+    return [c for c in all_codes_8 if is_connected(parse_graph6(c))]
+
+
+@pytest.fixture(scope="session")
 def trees_upto10() -> dict[int, list[Graph]]:
     return _by_n(range_specs("trees", 10))
 

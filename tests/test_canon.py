@@ -1,4 +1,4 @@
-"""Canonical-form correctness against brute force and networkx."""
+"""Canonical-form correctness against brute force, networkx and the earlier recursive search."""
 
 import random
 from itertools import permutations
@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphirr.canon import CANONICAL_CAP, canonical_code, leaf_certificate
+from graphirr.canon import (
+    CANONICAL_CAP,
+    _stable_colors,
+    canonical_code,
+    canonical_rows,
+    leaf_certificate,
+    relabel_rows,
+)
 from graphirr.enumeration import enumerate_range, range_specs
 from graphirr.errors import CapabilityError
 from graphirr.families import (
@@ -38,6 +45,75 @@ def brute_min_code(g: Graph) -> tuple[int, ...]:
         if best is None or bits < best:
             best = bits
     return best
+
+
+def reference_search_order(rows, n, colors):
+    """The recursive branch-and-bound search this module once used, kept verbatim."""
+    template = sorted(range(n), key=colors.__getitem__, reverse=True)
+    pos_color = [colors[v] for v in template]
+    by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+
+    used = [False] * n
+    placed: list[int] = []
+    cur = [0] * n
+    best: list[int] | None = None
+    best_order: list[int] | None = None
+    gen = 0
+
+    def extend(i: int, tight: bool) -> None:
+        nonlocal best, best_order, gen
+        if i == n:
+            if not tight:
+                best = cur[:]
+                best_order = placed[:]
+                gen += 1
+            return
+        scored = []
+        for v in by_color[pos_color[i]]:
+            if used[v]:
+                continue
+            bits = 0
+            rv = rows[v]
+            for u in placed:
+                bits = bits << 1 | (rv >> u & 1)
+            scored.append((bits, v))
+        scored.sort(reverse=True)
+        tried: list[tuple[int, int]] = []
+        for bits, v in scored:
+            if tight and best is not None:
+                if bits < best[i]:
+                    break  # descending order: the rest are worse too
+                child_tight = bits == best[i]
+            else:
+                child_tight = False
+            rv = rows[v]
+            vbit = 1 << v
+            if any(
+                b == bits and not (rows[u] ^ rv) & ~(1 << u | vbit)
+                for b, u in tried
+            ):
+                continue
+            tried.append((bits, v))
+            cur[i] = bits
+            used[v] = True
+            placed.append(v)
+            before = gen
+            extend(i + 1, child_tight)
+            placed.pop()
+            used[v] = False
+            if gen != before:
+                # new best came through this prefix, so it now ties it
+                tight = True
+
+    extend(0, best is not None)
+    assert best_order is not None
+    return best_order
+
+
+def reference_rows(rows, n):
+    return relabel_rows(rows, reference_search_order(rows, n, _stable_colors(rows, n)))
 
 
 @st.composite
@@ -79,6 +155,56 @@ class TestAgainstOracles:
     @given(graphs(max_n=7), permutations_of(7))
     def test_invariant_under_relabelling(self, g, perm):
         assert canonical_code(g) == canonical_code(permute(g, perm[: g.n]))
+
+
+class TestAgainstReferenceSearch:
+    """The one-pass search gives the recursive search's rows on every input."""
+
+    @staticmethod
+    def assert_same_rows(g: Graph, relabellings: int, rng: random.Random):
+        for _ in range(relabellings):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            rows = permute(g, order).rows
+            assert canonical_rows(rows, g.n) == reference_rows(rows, g.n), g.edges()
+
+    @pytest.mark.parametrize(
+        "population, max_n", [("all", 7), ("trees", 12), ("unicyclic", 10)]
+    )
+    def test_every_class(self, population, max_n):
+        rng = random.Random(max_n)
+        for codes in enumerate_range(range_specs(population, max_n)):
+            for code in codes:
+                self.assert_same_rows(parse_graph6(code), 3, rng)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            nx.petersen_graph(),
+            nx.icosahedral_graph(),
+            nx.Graph((i, 6 + j) for i in range(6) for j in range(6) if i != j),
+            nx.disjoint_union_all([nx.complete_graph(2)] * 6),
+            nx.disjoint_union_all([nx.cycle_graph(6)] * 2),
+            nx.disjoint_union_all([nx.cycle_graph(4)] * 3),
+            nx.disjoint_union_all([nx.complete_graph(3)] * 4),
+            nx.cartesian_product(nx.complete_graph(3), nx.complete_graph(4)),
+            nx.LCF_graph(12, [5, -5], 6),
+            nx.frucht_graph(),
+            nx.truncated_tetrahedron_graph(),
+            nx.cycle_graph(12),
+            nx.complete_graph(12),
+            nx.empty_graph(12),
+        ],
+        ids=[
+            "petersen", "icosahedron", "crown", "6K2", "2C6", "3C4", "4K3",
+            "K3xK4", "franklin", "frucht", "truncated_tetrahedron", "C12",
+            "K12", "empty12",
+        ],
+    )
+    def test_symmetric_graphs(self, h):
+        h = nx.convert_node_labels_to_integers(h)
+        g = from_edge_list(h.number_of_nodes(), list(h.edges()))
+        self.assert_same_rows(g, 5, random.Random(g.n))
 
 
 class TestSpecificPairs:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphirr import __version__, cli, verify
+from graphirr import __version__, cli, measures, verify
 from graphirr.canon import canonical_code
 from graphirr.cli import CACHE_ENV, main
-from graphirr.families import named, wheel
+from graphirr.families import named, star, wheel
 from graphirr.io import format_edge_list, parse_graph6, to_graph6
 
 
@@ -85,6 +85,15 @@ class TestCompute:
         doc = json.loads(out)
         assert doc["measures"]["s"] == {"num": 8, "den": 5, "decimal": "1.6"}
         assert doc["two_walk"]["a"] == 2 and doc["two_walk"]["b"] == 4
+
+    def test_json_two_walk_rational_has_decimal(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text(format_edge_list(named("grotzsch")))
+        code, out, _ = run(capsys, "compute", "--json", str(p))
+        assert code == 0
+        two_walk = json.loads(out)["two_walk"]
+        assert two_walk["var_via_params"] == {"num": 50, "den": 121, "decimal": "0.413223"}
+        assert two_walk["matches"] is True
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_one_context_and_one_fit(self, tmp_path, capsys, monkeypatch, json_flag):
@@ -203,6 +212,12 @@ class TestGen:
         assert code == 2
         code, _, err = run(capsys, "gen", "named", "petersen")
         assert code == 2
+
+    def test_unknown_family_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "bogus", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["path", "x"], ["multipartite", "2", "y"]])
     def test_non_integer_params_exit_2(self, capsys, argv):
@@ -426,6 +441,20 @@ class TestConjecturesCmd:
         )
         assert code == 0
         assert "conjecture-ird" in out and "conjecture-omega" in out
+
+    def test_findings_are_printed(self, capsys, monkeypatch, tmp_path):
+        real = measures._measure_set
+
+        def on_the_floor(ctx):  # 2n·Var = S on every graph
+            ms = real(ctx)
+            return ms._replace(var=ms.s / (2 * ctx.n))
+
+        monkeypatch.setattr(measures, "_measure_set", on_the_floor)
+        argv = ["--max-n", "4", "--cache-dir", str(tmp_path)]
+        code, out, _ = run(capsys, "conjectures", *argv)
+        assert code == 1
+        note = "equality outside the unit-gap bidegreed family"
+        assert f"  finding omega_floor on {canonical_code(star(4))}: {note}" in out.splitlines()
 
 
 class TestExtremalCmd:

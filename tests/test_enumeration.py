@@ -79,12 +79,6 @@ def count_canonicalisations(monkeypatch) -> list[int]:
 
 
 @pytest.fixture(scope="module")
-def all_n8() -> list[str]:
-    """The whole n=8 population, built once for every test that reads it."""
-    return enumerate_range([EnumerationSpec(n=8)])[0]
-
-
-@pytest.fixture(scope="module")
 def atlas_codes() -> dict[int, list[str]]:
     """Canonical codes of networkx's graph atlas (every graph on <= 7 vertices)."""
     by_n: dict[int, list[str]] = {}
@@ -106,14 +100,13 @@ class TestCounts:
         assert len(enumerate_range([EnumerationSpec(n=n)])[0]) == ALL_BY_N[n]
 
     @pytest.mark.slow
-    def test_n8_counts(self, all_n8):
-        assert len(all_n8) == ALL_BY_N[8]
-        connected = [c for c in all_n8 if is_connected(parse_graph6(c))]
-        assert len(connected) == CONNECTED_BY_N[8]
+    def test_n8_counts(self, all_codes_8, connected_codes_8):
+        assert len(all_codes_8) == ALL_BY_N[8]
+        assert len(connected_codes_8) == CONNECTED_BY_N[8]
 
     @pytest.mark.slow
-    def test_burnside_cross_check_n8(self, all_n8):
-        per_m = Counter(parse_graph6(code).m for code in all_n8)
+    def test_burnside_cross_check_n8(self, all_codes_8):
+        per_m = Counter(parse_graph6(code).m for code in all_codes_8)
         assert [per_m[m] for m in range(29)] == [burnside_graph_count(8, m) for m in range(29)]
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -380,6 +373,14 @@ class TestDeterminismAndFilters:
         with pytest.raises(CapabilityError):
             enumerate_range([EnumerationSpec(n=9)])
 
+    def test_unknown_population(self, tmp_path):
+        with pytest.raises(InputError, match="unknown population 'forests'"):
+            enumerate_range([EnumerationSpec(n=4, population="forests")], cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_describe_names_every_filter(self):
+        assert FILTERED.describe() == "isomorphism classes, n=6, m=7, connected, irregular"
+
     def test_connected_below_spanning_empty(self):
         assert enumerate_range([EnumerationSpec(n=5, m=3, connected_only=True)])[0] == []
 
@@ -521,6 +522,11 @@ class TestCache:
         os.umask(umask)
         assert stat.S_IMODE(final.stat().st_mode) == 0o666 & ~umask
 
+    def test_failed_write_removes_its_temporary_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            enumeration._write_cache(EnumerationSpec(n=4), str(tmp_path), ["\u00e9"])
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_cache_dir_is_plain(self):
         spec = EnumerationSpec(n=4)
         assert enumerate_codes_cached(spec) == enumerate_range([spec])[0]
@@ -543,8 +549,9 @@ class TestCache:
             lambda codes, other: "\n".join(codes)[:-2],  # truncated mid-line
             lambda codes, other: "\n".join(other) + "\n",  # codes of another n
             lambda codes, other: "\n".join(reversed(codes)) + "\n",  # unsorted
+            lambda codes, other: "\n".join(codes) + "\n\u00e9\n",  # not ASCII
         ],
-        ids=["truncated", "other-n", "unsorted"],
+        ids=["truncated", "other-n", "unsorted", "non-ascii"],
     )
     def test_damaged_file_is_recomputed(self, tmp_path, caplog, damage):
         n5, n6 = (EnumerationSpec(n=k, connected_only=True) for k in (5, 6))
@@ -552,7 +559,7 @@ class TestCache:
             codes = enumerate_range([spec])[0]
             other = enumerate_range([other_spec])[0]
             path = tmp_path / f"{spec.key()}-v{__version__}.g6"
-            path.write_text(damage(codes, other))
+            path.write_text(damage(codes, other), encoding="utf-8")
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
                 assert enumerate_codes_cached(spec, cache_dir=str(tmp_path)) == codes

@@ -227,6 +227,20 @@ class TestConjectures:
         rep2 = check_omega_conjecture(graphs)
         assert rep2.passed and not rep2.findings
 
+    def test_omega_floor_outside_the_unit_gap_family_is_a_finding(self, monkeypatch):
+        real = measures._measure_set
+
+        def on_the_floor(ctx):  # 2n·Var = S on every graph
+            ms = real(ctx)
+            return ms._replace(var=ms.s / (2 * ctx.n))
+
+        monkeypatch.setattr(measures, "_measure_set", on_the_floor)
+        code = canonical_code(star(5))  # bidegreed, but with degree gap 3
+        rep = check_omega_conjecture([star(5)])
+        assert rep.passed
+        assert [(f.graph, f.check) for f in rep.findings] == [(code, "omega_floor")]
+        assert [(e.graph, e.check) for e in rep.equalities] == [(code, "omega_floor")]
+
     def test_tripartite_strict(self):
         # K_{2,3,5}: strict in both conjectured inequalities
         from graphirr.families import complete_multipartite
