@@ -38,7 +38,7 @@ from .families import (
 )
 from .graph import Graph
 from .io import check_size, format_edge_list, parse_graph, parse_graph6, to_graph6
-from .measures import _bound_report, context
+from .measures import NOT_APPLICABLE, _bound_report, context
 from .serialize import (
     bound_record_json,
     fraction_decimal,
@@ -175,7 +175,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         print(f"two_walk variance: {_fmt(ident.var_via_params)} ({status})")
     print("bounds:")
     for rec in bounds:
-        if rec.agreement == "not-applicable":
+        if rec.agreement == NOT_APPLICABLE:
             print(f"  {rec.bound_id}: not applicable")
             continue
         mark = "=" if rec.is_equality else ("ok" if rec.holds else "VIOLATED")

@@ -1,7 +1,10 @@
 """Exact-rational irregularity measures and the inequality suite.
 
-Every quantity is a ``fractions.Fraction``; equality checks are exact.  The
-measures:
+The measures are ``fractions.Fraction``s, derived from three integer sums of
+the degrees: M1 = sum d^2, nS = sum |n*d - 2m| = n*S and V = n*M1 - (2m)^2 =
+n^2*Var.  A bound's verdict is one integer comparison: its row gives
+(L, R, q) with q > 0 from (M1, nS, V), decides L against R, and its record's
+sides are L/q and R/q.  The measures:
 
 * ``m1``    -- first Zagreb index, sum of squared degrees
 * ``s``     -- degree deviation, sum of |d_v - 2m/n|
@@ -69,10 +72,10 @@ class GraphContext(_ProfileKey):
 
     Two graphs have equal contexts exactly when they share order, sorted
     degrees and connectivity, and every field read by a suite is a function
-    of those.  The order, degree statistics, classification and measures
-    are computed from the two fields on first read, once per context; the
-    class has no ``__slots__``, so its instances keep them in ``__dict__``,
-    while equality and hashing are those of the two-field tuple.
+    of those.  The order, degree statistics, classification, degree sums
+    and measures are computed from the two fields on first read, once per
+    context; the class has no ``__slots__``, so its instances keep them in
+    ``__dict__``, while equality and hashing are those of the two-field tuple.
     """
 
     @cached_property
@@ -86,6 +89,10 @@ class GraphContext(_ProfileKey):
     @cached_property
     def cls(self) -> Classification:
         return _classify(self.n, self.stats, self.connected)
+
+    @cached_property
+    def sums(self) -> tuple[int, int, int]:
+        return _sums(self)
 
     @cached_property
     def ms(self) -> MeasureSet:
@@ -111,10 +118,12 @@ class GraphContext(_ProfileKey):
     def n_min(self) -> int:
         return self.stats.histogram[self.stats.min_degree]
 
-    @property
-    def product_bound(self) -> Fraction:
-        """(Dmax - 2m/n)(2m/n - Dmin), the Bhatia-Davis cap on Var; exact iff <= 2 degrees."""
-        return (self.stats.max_degree - self.avg) * (self.avg - self.stats.min_degree)
+
+def _sums(c: GraphContext) -> tuple[int, int, int]:
+    """(M1, nS, V): sum of d^2, sum of |n*d - 2m|, and n*M1 - (2m)^2 = n^2 * Var."""
+    n, twice_m = c.n, 2 * c.m
+    m1 = sum(d * d * k for d, k in c.histogram)
+    return m1, sum(abs(n * d - twice_m) * k for d, k in c.histogram), n * m1 - twice_m**2
 
 
 def measure_set(g: Graph) -> MeasureSet:
@@ -122,18 +131,14 @@ def measure_set(g: Graph) -> MeasureSet:
 
 
 def _measure_set(c: GraphContext) -> MeasureSet:
-    n, avg = c.n, c.avg
-    m1 = Fraction(sum(d * d * k for d, k in c.histogram))
-    s = sum((abs(d - avg) * k for d, k in c.histogram), Fraction(0))
-    var = m1 / n - avg * avg
-    ird = Fraction(2 * c.n_max * c.n_min * c.gap, c.n_max + c.n_min)
-    irr = Fraction(n * c.gap, 2)
+    m1, ns, v = c.sums
+    s, var = Fraction(ns, c.n), Fraction(v, c.n**2)
     return MeasureSet(
-        m1=m1,
+        m1=Fraction(m1),
         s=s,
         var=var,
-        ird=ird,
-        irr=irr,
+        ird=Fraction(2 * c.n_max * c.n_min * c.gap, c.n_max + c.n_min),
+        irr=Fraction(c.n * c.gap, 2),
         omega=var / s if s else None,
     )
 
@@ -165,9 +170,12 @@ class _BoundDef(NamedTuple):
     bound_id: str
     formula: str
     applies: Callable[[GraphContext], bool]
-    lhs: Callable[[GraphContext], Fraction]
-    rhs: Callable[[GraphContext], Fraction]
-    holds: Callable[[Fraction, Fraction], bool]  # holds(lhs, rhs): operator.le, ge or lt
+    # sides(c, M1, nS, V) = (L, R, q): the record's sides are L/q and R/q, so
+    # holds(L, R) and L == R decide the verdict on integers.  q > 0 on every
+    # row: it is a product of n, n + gap and y = 2n-1-Dmin >= n, with nS in
+    # the two omega rows, which apply only to irregular graphs, where nS > 0.
+    sides: Callable[[GraphContext, int, int, int], tuple[int, int, int]]
+    holds: Callable[[int, int], bool]  # holds(L, R): operator.le, ge or lt
     predicted: Callable[[GraphContext], bool]
     equality_mode: str  # "iff", or "if" (sufficient only)
     ambiguous: bool = False  # condition mismatches are findings, not failures
@@ -182,12 +190,8 @@ def _two_degrees(c: GraphContext) -> bool:
 
 
 def _degrees_within_extremes_or_mean(c: GraphContext) -> bool:
-    allowed = {
-        Fraction(c.stats.min_degree),
-        c.avg,
-        Fraction(c.stats.max_degree),
-    }
-    return all(Fraction(d) in allowed for d in c.stats.degree_set)
+    allowed = {c.n * c.stats.min_degree, 2 * c.m, c.n * c.stats.max_degree}
+    return all(c.n * d in allowed for d in c.stats.degree_set)
 
 
 def _is_split(c: GraphContext) -> bool:
@@ -201,8 +205,11 @@ def _cyclic_range(c: GraphContext) -> bool:
     return cyc is not None and 1 <= cyc and 2 * cyc <= c.n + 2
 
 
-def _false(_: GraphContext) -> bool:
-    return False
+def _dominating_cap_sides(c: GraphContext, m1: int, ns: int, v: int) -> tuple[int, int, int]:
+    """Both sides of ``dominating_var_cap`` times n^2*y: x = 2m+(n-1)(n-1-Dmin), y = 2n-1-Dmin."""
+    x = 2 * c.m + (c.n - 1) * (c.n - 1 - c.stats.min_degree)
+    y = 2 * c.n - 1 - c.stats.min_degree
+    return v * y, 2 * c.m * (c.n * x - 2 * c.m * y), c.n**2 * y
 
 
 _BOUNDS: tuple[_BoundDef, ...] = (
@@ -210,8 +217,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="var_le_gap_s",
         formula="Var <= (Dmax-Dmin)/(2n) * S",
         applies=lambda c: True,
-        lhs=lambda c: c.ms.var,
-        rhs=lambda c: Fraction(c.gap, 2 * c.n) * c.ms.s,
+        sides=lambda c, m1, ns, v: (2 * v, c.gap * ns, 2 * c.n**2),
         holds=le,
         predicted=_degrees_within_extremes_or_mean,
         equality_mode="iff",
@@ -220,8 +226,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="s_le_irr",
         formula="S <= (n/2)(Dmax-Dmin)",
         applies=lambda c: True,
-        lhs=lambda c: c.ms.s,
-        rhs=lambda c: c.ms.irr,
+        sides=lambda c, m1, ns, v: (2 * ns, c.n**2 * c.gap, 2 * c.n),
         holds=le,
         predicted=_regular_or_balanced,
         equality_mode="iff",
@@ -230,8 +235,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="var_le_gap_sq4",
         formula="Var <= (Dmax-Dmin)^2/4",
         applies=lambda c: True,
-        lhs=lambda c: c.ms.var,
-        rhs=lambda c: Fraction(c.gap * c.gap, 4),
+        sides=lambda c, m1, ns, v: (4 * v, c.n**2 * c.gap**2, 4 * c.n**2),
         holds=le,
         predicted=_regular_or_balanced,
         equality_mode="iff",
@@ -240,8 +244,11 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="var_le_product_bound",
         formula="Var <= (Dmax-2m/n)(2m/n-Dmin)",
         applies=lambda c: True,
-        lhs=lambda c: c.ms.var,
-        rhs=lambda c: c.product_bound,
+        sides=lambda c, m1, ns, v: (
+            v,
+            (c.n * c.stats.max_degree - 2 * c.m) * (2 * c.m - c.n * c.stats.min_degree),
+            c.n**2,
+        ),
         holds=le,
         predicted=_two_degrees,
         equality_mode="iff",
@@ -250,8 +257,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="s_ge_scaled_ird",
         formula="S >= 2*Nmax*Nmin*(Dmax-Dmin)/n",
         applies=lambda c: True,
-        lhs=lambda c: c.ms.s,
-        rhs=lambda c: Fraction(2 * c.n_max * c.n_min * c.gap, c.n),
+        sides=lambda c, m1, ns, v: (ns, 2 * c.n_max * c.n_min * c.gap, c.n),
         holds=ge,
         predicted=_two_degrees,
         equality_mode="iff",
@@ -261,10 +267,11 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="var_ge_scaled_irr_ird",
         formula="Var >= ((Nmax+Nmin)^2/n^4) * IRR * IRD",
         applies=lambda c: True,
-        lhs=lambda c: c.ms.var,
-        rhs=lambda c: Fraction((c.n_max + c.n_min) ** 2, c.n**4)
-        * c.ms.irr
-        * c.ms.ird,
+        sides=lambda c, m1, ns, v: (
+            c.n * v,
+            (c.n_max + c.n_min) * c.n_max * c.n_min * c.gap**2,
+            c.n**3,
+        ),
         holds=ge,
         predicted=_two_degrees,
         equality_mode="iff",
@@ -273,13 +280,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="dominating_var_cap",
         formula="Var <= (2m/n)[2m+(n-1)(n-1-Dmin)]/(2n-1-Dmin) - (2m/n)^2",
         applies=lambda c: c.cls.is_dominating,
-        lhs=lambda c: c.ms.var,
-        rhs=lambda c: c.avg
-        * Fraction(
-            2 * c.m + (c.n - 1) * (c.n - 1 - c.stats.min_degree),
-            2 * c.n - 1 - c.stats.min_degree,
-        )
-        - c.avg * c.avg,
+        sides=_dominating_cap_sides,
         holds=le,
         predicted=_is_split,
         equality_mode="if",
@@ -288,8 +289,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="s_sq_le_n_sq_var",
         formula="S^2 <= n^2 * Var",
         applies=lambda c: c.cls.is_connected,
-        lhs=lambda c: c.ms.s * c.ms.s,
-        rhs=lambda c: c.n * c.n * c.ms.var,
+        sides=lambda c, m1, ns, v: (ns * ns, c.n**2 * v, c.n**2),
         holds=le,
         predicted=_regular_or_balanced,
         equality_mode="iff",
@@ -298,9 +298,10 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="zagreb_le_split_bound",
         formula="M1 <= 2m[2m+(n-1)(Dmax-Dmin)]/(n+Dmax-Dmin)",
         applies=lambda c: c.cls.is_connected,
-        lhs=lambda c: c.ms.m1,
-        rhs=lambda c: Fraction(
-            2 * c.m * (2 * c.m + (c.n - 1) * c.gap), c.n + c.gap
+        sides=lambda c, m1, ns, v: (
+            m1 * (c.n + c.gap),
+            2 * c.m * (2 * c.m + (c.n - 1) * c.gap),
+            c.n + c.gap,
         ),
         holds=le,
         predicted=lambda c: c.cls.is_regular or _is_split(c),
@@ -310,29 +311,28 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         bound_id="omega_lt_half",
         formula="Var/S < 1/2 for connected irregular graphs",
         applies=lambda c: c.cls.is_connected and not c.cls.is_regular,
-        lhs=lambda c: c.ms.omega if c.ms.omega is not None else Fraction(0),
-        rhs=lambda c: Fraction(1, 2),
+        sides=lambda c, m1, ns, v: (2 * v, c.n * ns, 2 * c.n * ns),
         holds=lt,
-        predicted=_false,
+        predicted=lambda c: False,
         equality_mode="if",
     ),
     _BoundDef(
         bound_id="omega_ge_cyclic_floor",
         formula="Var/S >= 1/n - 2/S for connected graphs with 1 <= c <= (n+2)/2",
         applies=lambda c: _cyclic_range(c) and not c.cls.is_regular,
-        lhs=lambda c: c.ms.omega if c.ms.omega is not None else Fraction(0),
-        rhs=lambda c: Fraction(1, c.n) - Fraction(2) / c.ms.s,
+        sides=lambda c, m1, ns, v: (v, ns - 2 * c.n**2, c.n * ns),
         holds=ge,
-        predicted=_false,
+        predicted=lambda c: False,
         equality_mode="if",
     ),
     _BoundDef(
         bound_id="s_le_pendant_cyclic_cap",
         formula="S <= 2(N1 + 2c - 2) for connected graphs with 1 <= c <= (n+2)/2",
         applies=_cyclic_range,
-        lhs=lambda c: c.ms.s,
-        rhs=lambda c: Fraction(
-            2 * (c.stats.histogram.get(1, 0) + 2 * (c.cls.cyclomatic or 0) - 2)
+        sides=lambda c, m1, ns, v: (
+            ns,
+            2 * c.n * (c.stats.histogram.get(1, 0) + 2 * (c.cls.cyclomatic or 0) - 2),
+            c.n,
         ),
         holds=le,
         predicted=lambda c: c.cls.is_unicyclic,
@@ -342,20 +342,9 @@ _BOUNDS: tuple[_BoundDef, ...] = (
 
 
 def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
-    if not defn.applies(ctx):
-        return BoundRecord(
-            bound_id=defn.bound_id,
-            formula=defn.formula,
-            lhs=Fraction(0),
-            rhs=Fraction(0),
-            holds=True,
-            is_equality=False,
-            predicted_equality=False,
-            agreement=NOT_APPLICABLE,
-        )
-    lhs = defn.lhs(ctx)
-    rhs = defn.rhs(ctx)
-    equal = lhs == rhs
+    """One bound on a profile it applies to: the verdict on integers, then the record."""
+    left, right, q = defn.sides(ctx, *ctx.sums)
+    equal = left == right
     predicted = defn.predicted(ctx)
     if defn.equality_mode == "iff":
         agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
@@ -364,9 +353,9 @@ def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
     return BoundRecord(
         bound_id=defn.bound_id,
         formula=defn.formula,
-        lhs=lhs,
-        rhs=rhs,
-        holds=defn.holds(lhs, rhs),
+        lhs=Fraction(left, q),
+        rhs=Fraction(right, q),
+        holds=defn.holds(left, right),
         is_equality=equal,
         predicted_equality=predicted,
         agreement=agree,
@@ -379,7 +368,14 @@ def bound_report(g: Graph) -> list[BoundRecord]:
 
 
 def _bound_report(ctx: GraphContext) -> list[BoundRecord]:
-    return [_evaluate(d, ctx) for d in _BOUNDS]
+    return [
+        _evaluate(d, ctx)
+        if d.applies(ctx)
+        else BoundRecord(
+            d.bound_id, d.formula, Fraction(0), Fraction(0), True, False, False, NOT_APPLICABLE
+        )
+        for d in _BOUNDS
+    ]
 
 
 # --- closed forms for trees and low-cyclomatic graphs ---------------------

@@ -10,9 +10,10 @@ Five files under ``tests/data`` pin every report byte for byte:
   the graph-by-graph suites, so they pin the checked counts of the suites
   that now run once per degree profile;
 * ``pinned_failures.json`` -- all nine suites and both conjecture scans over
-  five graphs whose measure sets are deliberately perturbed (S + 1,
-  Var + 1/7), so that almost every check fails and the text of each
-  violation, finding and equality note is pinned, not just the clean runs.
+  five graphs whose degree sums are deliberately perturbed (S + 1,
+  Var + 1/7, which every measure and bound reads), so that almost every
+  check fails and the text of each violation, finding and equality note is
+  pinned, not just the clean runs.
 
 A change that is meant to alter a report regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and shows the diff.
@@ -56,12 +57,10 @@ def cli_report_text(argv: list[str], workdir: Path) -> str:
     return out.read_text() + "\n"  # the --out file, byte for byte, plus the golden's newline
 
 
-def _perturbed_measures(real_measure_set):
-    def build(ctx):
-        ms = real_measure_set(ctx)
-        s, var = ms.s + 1, ms.var + Fraction(1, 7)
-        omega = None if ms.omega is None else var / s
-        return ms._replace(s=s, var=var, omega=omega)
+def _perturbed_sums(real_sums):
+    def build(ctx):  # nS + n is S + 1, and V + n^2/7 is Var + 1/7
+        m1, ns, v = real_sums(ctx)
+        return m1, ns + ctx.n, v + Fraction(ctx.n**2, 7)
 
     return build
 
@@ -76,7 +75,7 @@ def pinned_failure_text() -> str:
         complete_split(7, 2),
     ]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_measure_set", _perturbed_measures(measures._measure_set))
+        mp.setattr(measures, "_sums", _perturbed_sums(measures._sums))
         reports = verify.run_all_suites(graphs) + [
             verify.check_deviation_conjecture(graphs),
             verify.check_omega_conjecture(graphs),

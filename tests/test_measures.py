@@ -1,8 +1,12 @@
+from collections import Counter
+from fractions import Fraction
 from fractions import Fraction as F
+from functools import cached_property
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphirr.errors import InputError
 from graphirr.families import (
@@ -15,9 +19,21 @@ from graphirr.families import (
     star,
     wheel,
 )
+from graphirr.enumeration import enumerate_range, range_specs
 from graphirr.graph import classify, degree_stats, from_edge_list
+from graphirr.io import parse_graph6
 from graphirr.measures import (
+    _BOUNDS,
+    CONDITION_MISMATCH,
+    CONFIRMED,
+    NOT_APPLICABLE,
+    BoundRecord,
+    GraphContext,
+    MeasureSet,
+    _bound_report,
+    _degrees_within_extremes_or_mean,
     bound_report,
+    context,
     cyclic_formulas,
     measure_set,
     tree_formulas,
@@ -264,6 +280,172 @@ class TestBoundReport:
     def test_all_bounds_hold_everywhere(self, g):
         for rec in bound_report(g):
             assert rec.holds, (rec.bound_id, rec.lhs, rec.rhs)
+
+
+# --- the Fraction-side suite, kept as an oracle for the integer verdicts ------
+
+
+class ReferenceContext(GraphContext):
+    """A context whose measures are summed in Fractions, as the suite once read them."""
+
+    @cached_property
+    def ms(self) -> MeasureSet:
+        n, avg = self.n, self.avg
+        m1 = Fraction(sum(d * d * k for d, k in self.histogram))
+        s = sum((abs(d - avg) * k for d, k in self.histogram), Fraction(0))
+        var = m1 / n - avg * avg
+        ird = Fraction(2 * self.n_max * self.n_min * self.gap, self.n_max + self.n_min)
+        irr = Fraction(n * self.gap, 2)
+        return MeasureSet(m1, s, var, ird, irr, var / s if s else None)
+
+    @property
+    def product_bound(self) -> Fraction:
+        """(Dmax - 2m/n)(2m/n - Dmin), the Bhatia-Davis cap on Var; exact iff <= 2 degrees."""
+        return (self.stats.max_degree - self.avg) * (self.avg - self.stats.min_degree)
+
+
+def reference_degrees_within_extremes_or_mean(c) -> bool:
+    allowed = {
+        Fraction(c.stats.min_degree),
+        c.avg,
+        Fraction(c.stats.max_degree),
+    }
+    return all(Fraction(d) in allowed for d in c.stats.degree_set)
+
+
+# each bound's left and right sides, one Fraction lambda each
+REFERENCE_SIDES = {
+    "var_le_gap_s": (
+        lambda c: c.ms.var,
+        lambda c: Fraction(c.gap, 2 * c.n) * c.ms.s,
+    ),
+    "s_le_irr": (
+        lambda c: c.ms.s,
+        lambda c: c.ms.irr,
+    ),
+    "var_le_gap_sq4": (
+        lambda c: c.ms.var,
+        lambda c: Fraction(c.gap * c.gap, 4),
+    ),
+    "var_le_product_bound": (
+        lambda c: c.ms.var,
+        lambda c: c.product_bound,
+    ),
+    "s_ge_scaled_ird": (
+        lambda c: c.ms.s,
+        lambda c: Fraction(2 * c.n_max * c.n_min * c.gap, c.n),
+    ),
+    "var_ge_scaled_irr_ird": (
+        lambda c: c.ms.var,
+        lambda c: Fraction((c.n_max + c.n_min) ** 2, c.n**4)
+        * c.ms.irr
+        * c.ms.ird,
+    ),
+    "dominating_var_cap": (
+        lambda c: c.ms.var,
+        lambda c: c.avg
+        * Fraction(
+            2 * c.m + (c.n - 1) * (c.n - 1 - c.stats.min_degree),
+            2 * c.n - 1 - c.stats.min_degree,
+        )
+        - c.avg * c.avg,
+    ),
+    "s_sq_le_n_sq_var": (
+        lambda c: c.ms.s * c.ms.s,
+        lambda c: c.n * c.n * c.ms.var,
+    ),
+    "zagreb_le_split_bound": (
+        lambda c: c.ms.m1,
+        lambda c: Fraction(
+            2 * c.m * (2 * c.m + (c.n - 1) * c.gap), c.n + c.gap
+        ),
+    ),
+    "omega_lt_half": (
+        lambda c: c.ms.omega if c.ms.omega is not None else Fraction(0),
+        lambda c: Fraction(1, 2),
+    ),
+    "omega_ge_cyclic_floor": (
+        lambda c: c.ms.omega if c.ms.omega is not None else Fraction(0),
+        lambda c: Fraction(1, c.n) - Fraction(2) / c.ms.s,
+    ),
+    "s_le_pendant_cyclic_cap": (
+        lambda c: c.ms.s,
+        lambda c: Fraction(
+            2 * (c.stats.histogram.get(1, 0) + 2 * (c.cls.cyclomatic or 0) - 2)
+        ),
+    ),
+}
+
+
+def reference_report(histogram, connected: bool) -> list[BoundRecord]:
+    """The bound suite decided on the Fraction sides above."""
+    c = ReferenceContext(histogram, connected)
+    records = []
+    for defn in _BOUNDS:
+        if not defn.applies(c):
+            records.append(
+                BoundRecord(
+                    defn.bound_id, defn.formula, F(0), F(0), True, False, False, NOT_APPLICABLE
+                )
+            )
+            continue
+        lhs_of, rhs_of = REFERENCE_SIDES[defn.bound_id]
+        lhs, rhs = lhs_of(c), rhs_of(c)
+        equal = lhs == rhs
+        if defn.predicted is _degrees_within_extremes_or_mean:
+            predicted = reference_degrees_within_extremes_or_mean(c)
+        else:
+            predicted = defn.predicted(c)
+        if defn.equality_mode == "iff":
+            agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
+        else:
+            agree = CONFIRMED if (not predicted or equal) else CONDITION_MISMATCH
+        records.append(
+            BoundRecord(
+                defn.bound_id, defn.formula, lhs, rhs, defn.holds(lhs, rhs), equal, predicted, agree
+            )
+        )
+    return records
+
+
+@st.composite
+def even_sum_histograms(draw, max_n: int = 14):
+    """Sorted (degree, count) pairs of n <= max_n degrees below n with an even sum."""
+    n = draw(st.integers(1, max_n))
+    degrees = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    assume(sum(degrees) % 2 == 0)
+    return tuple(sorted(Counter(degrees).items()))
+
+
+class TestAgainstFractionSides:
+    """Each integer row (L, R, q) gives the records the Fraction sides gave.
+
+    Degree multisets need not be graphic here: every row is a function of the
+    histogram and the connectivity flag, and both flags are tried on each.
+    """
+
+    @staticmethod
+    def _check(histogram) -> None:
+        for connected in (True, False):
+            ctx = GraphContext(histogram, connected)
+            assert _bound_report(ctx) == reference_report(histogram, connected), ctx
+            for defn in _BOUNDS:
+                if defn.applies(ctx):
+                    sides = defn.sides(ctx, *ctx.sums)
+                    assert all(type(x) is int for x in sides) and sides[2] > 0
+
+    @pytest.mark.slow
+    def test_every_profile_upto8(self, all_codes_8):
+        codes = [c for codes in enumerate_range(range_specs("all", 7)) for c in codes]
+        histograms = {context(parse_graph6(c)).histogram for c in codes + all_codes_8}
+        assert len(histograms) > 1000
+        for histogram in sorted(histograms):
+            self._check(histogram)
+
+    @settings(max_examples=300, deadline=None)
+    @given(even_sum_histograms())
+    def test_even_sum_multisets(self, histogram):
+        self._check(histogram)
 
 
 class TestTreeFormulas:

@@ -197,13 +197,13 @@ class TestProfiles:
         # two trees with degrees (3, 2, 2, 1, 1, 1): the leaf hangs off vertex 1 or 2
         spine = [(0, 1), (1, 2), (2, 3), (3, 4)]
         a, b = (from_edge_list(6, spine + [(v, 5)]) for v in (1, 2))
-        real = measures._measure_set
+        real = measures._sums
 
-        def off_by_one(ctx):  # S + 1 makes most checks fail
-            ms = real(ctx)
-            return ms._replace(s=ms.s + 1)
+        def off_by_one(ctx):  # nS + n is S + 1, which makes most checks fail
+            m1, ns, v = real(ctx)
+            return m1, ns + ctx.n, v
 
-        monkeypatch.setattr(measures, "_measure_set", off_by_one)
+        monkeypatch.setattr(measures, "_sums", off_by_one)
         reports = run_all_suites([a, b]) + [check_deviation_conjecture([a, b])]
         code_a, code_b = canonical_code(a), canonical_code(b)
         assert code_a != code_b
@@ -350,13 +350,13 @@ class TestOnePath:
     def test_run_suite_matches_run_all_suites(self, perturbed, monkeypatch, tmp_path):
         population = range_specs("all", 6, connected_only=True)
         if perturbed:  # S + 1 makes checks fail, so each bound has outcomes to report
-            real = measures._measure_set
+            real = measures._sums
 
-            def off_by_one(ctx):
-                ms = real(ctx)
-                return ms._replace(s=ms.s + 1)
+            def off_by_one(ctx):  # nS + n is S + 1
+                m1, ns, v = real(ctx)
+                return m1, ns + ctx.n, v
 
-            monkeypatch.setattr(measures, "_measure_set", off_by_one)
+            monkeypatch.setattr(measures, "_sums", off_by_one)
         cache = str(tmp_path)
         full = {rep.suite_id: rep for rep in run_all_suites(population, cache_dir=cache)}
         bounds = full["bounds"]
