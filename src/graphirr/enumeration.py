@@ -28,7 +28,6 @@ canonical code, so it is identical for any worker count.
 
 from __future__ import annotations
 
-import logging
 import marshal
 import os
 import tempfile
@@ -38,8 +37,6 @@ from .canon import Rows, canonical_rows, leaf_certificate
 from .errors import CapabilityError, InputError
 from .graph import Graph, rows_connected
 from .io import _body_length, to_graph6
-
-logger = logging.getLogger(__name__)
 
 MAX_N_ALL = 8
 MAX_N_TREES = 12
@@ -315,7 +312,11 @@ def enumerate_range(
         elif cache_dir and os.path.exists(path := _cache_path(spec, cache_dir)):
             codes = _read_cache(path, spec)
             if codes is None:
-                logger.warning("cache file %s fails its checks; recomputing", path)
+                import logging  # here alone: it loads traceback, tokenize and more
+
+                logging.getLogger(__name__).warning(
+                    "cache file %s fails its checks; recomputing", path
+                )
         if codes is None:
             families.setdefault(spec._replace(n=0), set()).add(spec.n)
         else:

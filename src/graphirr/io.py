@@ -25,6 +25,7 @@ _G6_CHARS = bytes(range(63, 127))  # a graph6 code is written in these bytes alo
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_TO_G6 = bytes.maketrans(_BASE64, _G6_CHARS)
 _G6_TO_BASE64 = bytes.maketrans(_G6_CHARS, _BASE64)
+_BLOCK_CHARS = 1 << 20  # the characters of one block of columns in _dense_rows
 
 
 def check_size(what: str, n: int, m: int) -> None:
@@ -69,10 +70,12 @@ def to_graph6(g: Graph) -> str:
 def parse_graph6(text: str) -> Graph:
     """The graph of one graph6 code, decoded as :func:`to_graph6` encodes it.
 
-    The body is translated back to base64 and decoded to one integer whose
-    bits are the upper triangle in column order; column j, reversed, is the
-    part of ``rows[j]`` below j, and each of its bits is mirrored into the
-    row of the other end.
+    The body is translated back to base64 and decoded to one bit string, the
+    upper triangle in column order: column j holds pairs j(j-1)/2 .. j(j+1)/2
+    - 1, and the pair at offset i in it is x(i, j).  A code with at most 8n
+    edges is read from its set bits, one step per edge; a denser one by
+    blocks of columns in :func:`_dense_rows`, where a step per edge would
+    cost more (CS(1500, 700) has 805 000 edges).
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -103,14 +106,47 @@ def parse_graph6(text: str) -> Graph:
         )
     packed = binascii.a2b_base64(body.translate(_G6_TO_BASE64) + b"A" * (-need % 4))
     bits = f"{int.from_bytes(packed, 'big'):0{8 * len(packed)}b}"  # pair k is bits[k]
+    pairs = n * (n - 1) // 2  # the bits after these pad the last character
+    if bits.count("1", 0, pairs) > 8 * n:
+        return Graph(n, tuple(_dense_rows(n, bits)))
+    # each set bit k is mirrored into both of its rows; the column j of k is
+    # found by moving ``end``, the first pair after column j, forward
     rows = [0] * n
-    for j in range(1, n):
-        rows[j] = column = int(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
-        while column:
-            low = column & -column
-            rows[low.bit_length() - 1] |= 1 << j
-            column ^= low
+    find = bits.find
+    k, j, end = find("1", 0, pairs), 1, 1
+    while k >= 0:
+        while k >= end:
+            j += 1
+            end += j
+        i = k - end + j
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        k = find("1", k + 1, pairs)
     return Graph(n, tuple(rows))
+
+
+def _dense_rows(n: int, bits: str) -> list[int]:
+    """The rows of a dense code, by string operations on blocks of w columns.
+
+    Column j, reversed, is the part of row j below j.  The part above is the
+    transpose: in a block of columns, each padded with zeros to n characters,
+    x(i, j) for the block's j sits at every n-th character from i.  So the
+    work is O(n^2) characters in O(n^2/w) Python steps, and w keeps a block
+    near 2^20 characters, so memory stays linear in the code's length.
+    """
+    rows = [0] * n
+    width = max(1, _BLOCK_CHARS // n)
+    for first in range(1, n, width):
+        cols = range(first, min(n, first + width))
+        columns = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] for j in cols]
+        for j, column in zip(cols, columns):
+            rows[j] = int(column[::-1], 2)
+        block = "".join([column.ljust(n, "0") for column in columns])
+        for i in range(cols[-1]):
+            above = block[i::n]  # x(i, j) for j in cols, "0" where j <= i
+            if "1" in above:
+                rows[i] |= int(above[::-1], 2) << first
+    return rows
 
 
 def format_edge_list(g: Graph) -> str:

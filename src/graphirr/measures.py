@@ -20,9 +20,12 @@ histogram and a connectivity flag, and derives everything else from it on
 first use, so graphs that share a profile share a context and ``verify``
 evaluates them once per profile.  ``bound_report``, ``tree_formulas`` and
 ``cyclic_formulas`` take a graph, build its context and call the private
-function of the same name, which reads the context alone; ``verify`` calls
-the private closed forms, and ``_evaluate`` one bound at a time, with the
-context of a whole profile.
+function of the same name, which reads the context alone.  ``verify``
+reads the closed forms as integer numerators over known denominators
+(``_tree_sides``, ``_cyclic_sides``) and calls ``_decide`` one bound at a
+time, with the context of a whole profile.  ``_decide`` gives the verdict on
+integers; ``_evaluate`` turns it into a record for ``bound_report``, the one
+place where every record's two ``Fraction`` sides are built.
 The two-walk fit in ``spectral`` reads neighbour-degree sums and is the only
 check made per graph.
 
@@ -341,8 +344,12 @@ _BOUNDS: tuple[_BoundDef, ...] = (
 )
 
 
-def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
-    """One bound on a profile it applies to: the verdict on integers, then the record."""
+def _decide(defn: _BoundDef, ctx: GraphContext) -> tuple[int, int, int, bool, bool, bool, str]:
+    """One bound on a profile it applies to, decided with no ``Fraction`` built.
+
+    Returns (L, R, q, holds, is_equality, predicted_equality, agreement): the
+    record's sides are L/q and R/q, and the rest are its fields of those names.
+    """
     left, right, q = defn.sides(ctx, *ctx.sums)
     equal = left == right
     predicted = defn.predicted(ctx)
@@ -350,16 +357,14 @@ def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
         agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
     else:
         agree = CONFIRMED if (not predicted or equal) else CONDITION_MISMATCH
-    return BoundRecord(
-        bound_id=defn.bound_id,
-        formula=defn.formula,
-        lhs=Fraction(left, q),
-        rhs=Fraction(right, q),
-        holds=defn.holds(left, right),
-        is_equality=equal,
-        predicted_equality=predicted,
-        agreement=agree,
-    )
+    return left, right, q, defn.holds(left, right), equal, predicted, agree
+
+
+def _evaluate(defn: _BoundDef, ctx: GraphContext) -> BoundRecord:
+    """One bound on a profile it applies to: the verdict on integers, then the record."""
+    left, right, q, *verdict = _decide(defn, ctx)
+    lhs, rhs = Fraction(left, q), Fraction(right, q)
+    return BoundRecord(defn.bound_id, defn.formula, lhs, rhs, *verdict)
 
 
 def bound_report(g: Graph) -> list[BoundRecord]:
@@ -403,47 +408,46 @@ def tree_formulas(t: Graph) -> TreeFormulas:
 
 
 def _tree_formulas(ctx: GraphContext) -> TreeFormulas:
+    return TreeFormulas(*(Fraction(p, q) for p, q in _tree_sides(ctx)))
+
+
+def _tree_sides(ctx: GraphContext) -> list[tuple[int, int]]:
+    """The fields of :class:`TreeFormulas` as (numerator, denominator) pairs, in order.
+
+    Each denominator is the one of the measure that ``verify`` checks the
+    field against: n for the forms of S, n^2 for those of Var, 2 for IRR and
+    2n^2 for ``var_s_gap``, as for Var - S/(2n); the two IRD brackets keep
+    their own.  So the checks compare integers.
+    """
     if not ctx.cls.is_tree or ctx.n < 2:
         raise InputError("tree formulas need a tree on at least two vertices")
     n = ctx.n
     hist = ctx.stats.histogram
     bw = _branch_weight(hist)
-    s_floor = Fraction(4 * (n - 2), n)
-    var_floor = Fraction(2 * (n - 2), n * n)
-    s_closed = s_floor + Fraction(2 * (n - 2), n) * bw
-    var_closed = var_floor + Fraction(
-        sum((d - 1) * (d - 2) * c for d, c in hist.items() if d >= 3), n
-    )
-    # each degree-d vertex, d >= 3, adds (d-2)(d - (2n-2)/n)/n
-    var_s_gap = Fraction(
-        sum((d - 2) * (n * d - 2 * n + 2) * c for d, c in hist.items() if d >= 3),
-        n * n,
-    )
     dmax = ctx.stats.max_degree
     n_top = hist[dmax]
     n1 = hist.get(1, 0)
     n2 = hist.get(2, 0)
-    irr_closed = Fraction(n * (dmax - 1), 2)
-    ird_upper = Fraction(
-        4 * n_top * (dmax - 1) + 2 * n_top * bw * (dmax - 1),
-        2 + (dmax - 1) * n_top,
-    )
-    ird_lower = Fraction(
-        4 * n_top * (dmax - 1) + 2 * n_top * n_top * (dmax - 2) * (dmax - 1),
-        2 + (dmax - 2) * (n - n1 - n2) + n_top,
-    )
-    n1_based_s = Fraction(2 * (n - 2) * n1, n)
-    return TreeFormulas(
-        s_closed=s_closed,
-        var_closed=var_closed,
-        irr_closed=irr_closed,
-        ird_upper=ird_upper,
-        ird_lower=ird_lower,
-        n1_based_s=n1_based_s,
-        s_floor=s_floor,
-        var_floor=var_floor,
-        var_s_gap=var_s_gap,
-    )
+    high = sum((d - 1) * (d - 2) * c for d, c in hist.items() if d >= 3)
+    # each degree-d vertex, d >= 3, adds (d-2)(d - (2n-2)/n)/n to var_s_gap
+    var_gap = sum((d - 2) * (n * d - 2 * n + 2) * c for d, c in hist.items() if d >= 3)
+    return [
+        (2 * (n - 2) * (2 + bw), n),  # s_closed
+        (2 * (n - 2) + n * high, n * n),  # var_closed
+        (n * (dmax - 1), 2),  # irr_closed
+        (  # ird_upper
+            4 * n_top * (dmax - 1) + 2 * n_top * bw * (dmax - 1),
+            2 + (dmax - 1) * n_top,
+        ),
+        (  # ird_lower
+            4 * n_top * (dmax - 1) + 2 * n_top * n_top * (dmax - 2) * (dmax - 1),
+            2 + (dmax - 2) * (n - n1 - n2) + n_top,
+        ),
+        (2 * (n - 2) * n1, n),  # n1_based_s
+        (4 * (n - 2), n),  # s_floor
+        (2 * (n - 2), n * n),  # var_floor
+        (2 * var_gap, 2 * n * n),  # var_s_gap
+    ]
 
 
 class CyclicFormulas(NamedTuple):
@@ -457,21 +461,30 @@ def cyclic_formulas(g: Graph) -> CyclicFormulas:
 
 
 def _cyclic_formulas(ctx: GraphContext) -> CyclicFormulas:
+    (s_num, n), (var_num, n_sq), residue = _cyclic_sides(ctx)
+    return CyclicFormulas(
+        s_closed=Fraction(s_num, n),
+        var_closed=Fraction(var_num, n_sq),
+        unicyclic_residue=None if residue is None else Fraction(residue),
+    )
+
+
+def _cyclic_sides(
+    ctx: GraphContext,
+) -> tuple[tuple[int, int], tuple[int, int], Optional[int]]:
+    """``s_closed`` and ``var_closed`` as (numerator, denominator) pairs.
+
+    The denominators are n and n^2, those of S and Var, so ``verify`` compares
+    integers; the unicyclic residue is an integer, or None unless m == n.
+    """
     if not _cyclic_range(ctx):
         raise InputError(
             "closed forms need a connected graph with 1 <= cycle rank <= (n+2)/2"
         )
     n, m = ctx.n, ctx.m
     hist = ctx.stats.histogram
-    s_closed = Fraction(
-        2 * sum(c * (d * n - 2 * m) for d, c in hist.items() if d >= 3), n
-    )
-    var_closed = Fraction(
-        sum((d - 1) * (d - 2) * c for d, c in hist.items() if d >= 3), n
-    ) - Fraction(2 * (2 * m - n) * (m - n), n * n)
+    s_num = 2 * sum(c * (d * n - 2 * m) for d, c in hist.items() if d >= 3)
+    high = sum((d - 1) * (d - 2) * c for d, c in hist.items() if d >= 3)
+    var_num = n * high - 2 * (2 * m - n) * (m - n)
     residue = sum((d - 2) * (d - 3) * c for d, c in hist.items() if d >= 4)
-    return CyclicFormulas(
-        s_closed=s_closed,
-        var_closed=var_closed,
-        unicyclic_residue=Fraction(residue) if m == n else None,
-    )
+    return (s_num, n), (var_num, n * n), residue if m == n else None

@@ -16,6 +16,11 @@ with the two main eigenvalues lambda, mu = (a +- sqrt(D))/2, D = a^2 + 4b.
   Dmin > mu.  With t = a - 2*Dmin that is ``t < 0 or D > t^2``: a test on
   integers that decides the radius without computing it.
 
+The fit itself is :func:`_two_walk_fit`, on the adjacency rows alone.
+:func:`two_walk_params` first checks that the graph is connected and
+irregular; ``verify``'s spectral suite calls ``_two_walk_fit`` directly,
+because each graph's profile already says both.
+
 Every affine fit of a connected irregular graph is such a pair, so
 :func:`two_walk_params` rejects nothing once the line is found:
 
@@ -31,7 +36,7 @@ Every affine fit of a connected irregular graph is such a pair, so
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
 from .graph import Graph, is_connected
@@ -63,25 +68,44 @@ def two_walk_params(g: Graph) -> Optional[TwoWalkParams]:
     if not is_connected(g):
         raise InputError("two-walk detection needs a connected graph")
     degs = g.degrees()
-    dmax, dmin = max(degs), min(degs)
-    if dmax == dmin:
+    if max(degs) == min(degs):
         raise InputError("two-walk parameters are not unique for regular graphs")
+    return _two_walk_fit(g.rows)
 
-    def degree_sum(w: int) -> int:  # S(w)
-        return sum(degs[x] for x in g.neighbors(w))
 
-    u = degs.index(dmax)
-    v = degs.index(dmin)
-    # the line through (d_u, S(u)) and (d_v, S(v)) has slope a = num/den and
-    # intercept b = b_den/den; each vertex is tested with den cleared, and the
-    # first one off the line ends the fit
-    s_u = degree_sum(u)
-    num, den = s_u - degree_sum(v), degs[u] - degs[v]
-    b_den = s_u * den - num * degs[u]
-    if any(degree_sum(w) * den != num * degs[w] + b_den for w in range(g.n)):
-        return None
+def _two_walk_fit(rows: Sequence[int]) -> Optional[TwoWalkParams]:
+    """:func:`two_walk_params` of the graph with adjacency bitmasks ``rows``, unchecked.
+
+    The caller vouches that the graph is connected and irregular: ``verify``
+    reads both from the profile, so the fit is all it pays for per graph.
+    """
+    degs = [r.bit_count() for r in rows]
+
+    def degree_sum(row: int) -> int:  # S(w) of the vertex w whose row this is
+        total = 0
+        while row:
+            low = row & -row
+            total += degs[low.bit_length() - 1]
+            row ^= low
+        return total
+
+    # vertex 0 and the first vertex w of another degree fix the line: slope
+    # a = num/den, intercept b = b_den/den.  Each vertex is tested with den
+    # cleared, those before w by S alone, and the first one off the line
+    # ends the fit.
+    d0, s0 = degs[0], degree_sum(rows[0])
+    w = 1
+    while degs[w] == d0:
+        if degree_sum(rows[w]) != s0:
+            return None
+        w += 1
+    num, den = degree_sum(rows[w]) - s0, degs[w] - d0
+    b_den = s0 * den - num * d0
+    for d, row in zip(degs[w + 1 :], rows[w + 1 :]):
+        if degree_sum(row) * den != num * d + b_den:
+            return None
     a = num // den  # exact: see the module docstring
-    return TwoWalkParams(a=a, b=s_u - a * degs[u])
+    return TwoWalkParams(a=a, b=s0 - a * d0)
 
 
 def two_walk_radius_test(p: TwoWalkParams, min_degree: int) -> tuple[bool, int, int]:

@@ -14,7 +14,14 @@ population is grouped by context, and every report but ``spectral`` runs
 through the loop of :func:`_per_profile`, which makes the report's check once
 for each context it applies to and records the outcome under every code of
 that profile.  The two-walk fit of ``spectral`` reads neighbour-degree sums,
-which the degrees do not determine, and is the only check made per graph.
+which the degrees do not determine, and is the only check made per graph:
+the suite calls ``spectral._two_walk_fit`` on the graph's rows, since the
+profile already says the graph is connected and irregular.  The bounds, the
+tree and cyclic closed forms and the degree counts compare integers: the
+numerators of both sides over one q > 0, from the profile's degree sums,
+``measures._decide`` and ``measures._tree_sides``/``_cyclic_sides``.  The
+sides become ``Fraction``s only for a violation, the one outcome that prints
+them (``_Outcome.expect``).
 Every report id is one entry of ``_REPORTS``: the suites, one entry per
 bound of ``measures._BOUNDS``, which checks that bound alone on the graphs it
 applies to, and the two conjecture scans.
@@ -36,7 +43,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 from .canon import canonical_code
 from .enumeration import EnumerationSpec, enumerate_range
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, _degree_histogram, is_connected
 from .io import parse_graph6
 from .measures import (
     _BOUNDS,
@@ -44,15 +51,16 @@ from .measures import (
     GraphContext,
     _BoundDef,
     _branch_weight,
-    _cyclic_formulas,
     _cyclic_range,
+    _cyclic_sides,
+    _decide,
     _degrees_within_extremes_or_mean,
-    _evaluate,
-    _tree_formulas,
-    context,
+    _tree_sides,
 )
 from .serialize import fraction_text
-from .spectral import _variance_spectral_identity, two_walk_params, two_walk_radius_test
+from .spectral import _two_walk_fit, _variance_spectral_identity, two_walk_radius_test
+
+_Rational = Union[int, Fraction]  # a side of a check, or its numerator over some q
 
 
 class Violation(NamedTuple):
@@ -102,13 +110,20 @@ class _Outcome:
         self.findings: list[Finding] = []
         self.equalities: list[EqualityCase] = []
 
-    def expect(self, check: str, ok: bool, lhs: Fraction, rhs: Fraction, note: str = "") -> None:
+    def expect(
+        self, check: str, ok: bool, lhs: _Rational, rhs: _Rational, note: str = "", q: int = 1
+    ) -> None:
+        """``check`` holds when ``ok``; its sides are lhs/q and rhs/q.
+
+        A check may compare the numerators of two sides over one q > 0; the
+        sides become ``Fraction``s only if it fails, as only then are they printed.
+        """
         if not ok:
-            lhs_text, rhs_text = fraction_text(lhs), fraction_text(rhs)
+            lhs_text, rhs_text = fraction_text(Fraction(lhs, q)), fraction_text(Fraction(rhs, q))
             self.violations += (Violation(c, check, lhs_text, rhs_text, note) for c in self.codes)
 
-    def expect_eq(self, check: str, lhs: Fraction, rhs: Fraction) -> None:
-        self.expect(check, lhs == rhs, lhs, rhs)
+    def expect_eq(self, check: str, lhs: _Rational, rhs: _Rational, q: int = 1) -> None:
+        self.expect(check, lhs == rhs, lhs, rhs, q=q)
 
     def find(self, check: str, note: str) -> None:
         self.findings += (Finding(c, check, note) for c in self.codes)
@@ -120,19 +135,21 @@ class _Outcome:
         self,
         check: str,
         ok: bool,
-        lhs: Fraction,
-        rhs: Fraction,
+        lhs: _Rational,
+        rhs: _Rational,
         predicted: bool,
         equality_check: Optional[str] = None,
+        q: int = 1,
     ) -> None:
         """The inequality ``check``, and equality exactly when ``predicted``."""
-        self.expect(check, ok, lhs, rhs)
+        self.expect(check, ok, lhs, rhs, q=q)
         self.expect(
             equality_check or check + "_equality_iff",
             (lhs == rhs) == predicted,
             lhs,
             rhs,
             "equality condition mismatch",
+            q,
         )
 
 
@@ -166,12 +183,19 @@ def _materialise(
         desc = f"explicit list of {len(coded)} graphs"
     if not coded:
         raise InputError(f"empty population ({desc}): there is nothing to check")
-    groups: dict[GraphContext, list[tuple[str, Graph]]] = {}
+    # keyed by the sorted degrees, which give the histogram and are cheaper to
+    # build; a profile's context is built once, from its first graph
+    groups: dict[tuple[tuple[int, ...], bool], list[tuple[str, Graph]]] = {}
     for code, g in coded:
-        groups.setdefault(context(g), []).append((code, g))
-    for ctx in groups:
+        key = tuple(sorted(map(int.bit_count, g.rows))), is_connected(g)
+        groups.setdefault(key, []).append((code, g))
+    profiles = []
+    for (_, connected), group in groups.items():
+        codes, graphs = zip(*group)
+        ctx = GraphContext(_degree_histogram(graphs[0]), connected)
         ctx.cls, ctx.ms  # evaluated here, so that no report's elapsed pays for them
-    return [_Profile(*zip(*group), ctx) for ctx, group in groups.items()], desc
+        profiles.append(_Profile(codes, graphs, ctx))
+    return profiles, desc
 
 
 # --- degree-only checks, each made once for a profile -----------------------
@@ -179,18 +203,18 @@ def _materialise(
 
 def _check_bound(defn: _BoundDef, out: _Outcome, ctx: GraphContext) -> None:
     """One bound on a profile it applies to: the inequality and its equality case."""
-    rec = _evaluate(defn, ctx)
-    out.expect(defn.bound_id, rec.holds, rec.lhs, rec.rhs, "inequality failed")
-    if rec.agreement == CONDITION_MISMATCH:
+    left, right, q, holds, equal, _, agreement = _decide(defn, ctx)
+    out.expect(defn.bound_id, holds, left, right, "inequality failed", q)
+    if agreement == CONDITION_MISMATCH:
         note = (
             "equality observed without the documented condition"
-            if rec.is_equality
+            if equal
             else "documented equality condition held strictly"
         )
         if defn.ambiguous:
             out.find(defn.bound_id, note)
         else:
-            out.expect(defn.bound_id, False, rec.lhs, rec.rhs, note)
+            out.expect(defn.bound_id, False, left, right, note, q)
 
 
 def _check_bounds(out: _Outcome, ctx: GraphContext) -> None:
@@ -216,67 +240,82 @@ def _check_degree_counts(out: _Outcome, ctx: GraphContext) -> None:
     c = ctx.cls.cyclomatic or 0
     bw = _branch_weight(hist)
     n_high = sum(cnt for d, cnt in hist.items() if d >= 3)
-    out.expect_eq("pendant_count", Fraction(hist.get(1, 0)), Fraction(2 - 2 * c + bw))
-    out.expect_eq(
-        "degree_two_count",
-        Fraction(hist.get(2, 0)),
-        Fraction(2 * c + ctx.n - 2 - bw - n_high),
-    )
+    out.expect_eq("pendant_count", hist.get(1, 0), 2 - 2 * c + bw)
+    out.expect_eq("degree_two_count", hist.get(2, 0), 2 * c + ctx.n - 2 - bw - n_high)
 
 
 def _check_trees(out: _Outcome, ctx: GraphContext) -> None:
-    ms = ctx.ms
-    tf = _tree_formulas(ctx)
-    out.expect_eq("tree_s_closed", tf.s_closed, ms.s)
-    out.expect_eq("tree_var_closed", tf.var_closed, ms.var)
-    out.expect_eq("tree_irr_closed", tf.irr_closed, ms.irr)
-    out.expect_eq("tree_s_from_pendants", tf.n1_based_s, ms.s)
+    """The tree closed forms and brackets, each compared as numerators over one q.
+
+    With (M1, nS, V) the profile's sums, S = nS/n, Var = V/n^2, IRR = n*gap/2
+    and IRD = 2*Nmax*Nmin*gap/(Nmax + Nmin); each form of :func:`_tree_sides`
+    is over the same denominator as the measure it is checked against.
+    """
+    _, ns, v = ctx.sums
+    n, gap = ctx.n, ctx.gap
+    (
+        (s_closed, _),
+        (var_closed, _),
+        (irr_closed, _),
+        (ird_upper, upper_den),
+        (ird_lower, lower_den),
+        (n1_based_s, _),
+        (s_floor, _),
+        (var_floor, _),
+        (var_s_gap, _),
+    ) = _tree_sides(ctx)
+    out.expect_eq("tree_s_closed", s_closed, ns, q=n)
+    out.expect_eq("tree_var_closed", var_closed, v, q=n * n)
+    out.expect_eq("tree_irr_closed", irr_closed, n * gap, q=2)
+    out.expect_eq("tree_s_from_pendants", n1_based_s, ns, q=n)
 
     is_path = ctx.stats.max_degree <= 2
-    n = ctx.n
-    out.expect_iff("tree_s_floor", ms.s >= tf.s_floor, ms.s, tf.s_floor, is_path)
-    out.expect_iff("tree_var_floor", ms.var >= tf.var_floor, ms.var, tf.var_floor, is_path)
+    out.expect_iff("tree_s_floor", ns >= s_floor, ns, s_floor, is_path, q=n)
+    out.expect_iff("tree_var_floor", v >= var_floor, v, var_floor, is_path, q=n * n)
     if n >= 3:
-        half_n = Fraction(n, 2)
-        out.expect_iff("tree_irr_floor", ms.irr >= half_n, ms.irr, half_n, is_path)
+        out.expect_iff("tree_irr_floor", n * gap >= n, n * gap, n, is_path, q=2)
 
     # IRD bracketed by the branch-weight bounds, tight iff no middle degrees
     no_mid = all(d in (1, 2, ctx.stats.max_degree) for d in ctx.stats.degree_set)
-    out.expect_iff("tree_ird_upper", ms.ird <= tf.ird_upper, ms.ird, tf.ird_upper, no_mid)
-    out.expect_iff("tree_ird_lower", ms.ird >= tf.ird_lower, ms.ird, tf.ird_lower, no_mid)
+    ird, ird_den = 2 * ctx.n_max * ctx.n_min * gap, ctx.n_max + ctx.n_min
+    low, high = ird * upper_den, ird_upper * ird_den
+    out.expect_iff("tree_ird_upper", low <= high, low, high, no_mid, q=ird_den * upper_den)
+    low, high = ird * lower_den, ird_lower * ird_den
+    out.expect_iff("tree_ird_lower", low >= high, low, high, no_mid, q=ird_den * lower_den)
 
     # mean-relative identity: Var - S/(2n) is a weighted branch sum, >= 0
-    gap_val = ms.var - ms.s / (2 * n)
-    out.expect_eq("tree_var_s_gap_identity", gap_val, tf.var_s_gap)
+    gap_val = 2 * v - ns  # over 2n^2
+    out.expect_eq("tree_var_s_gap_identity", gap_val, var_s_gap, q=2 * n * n)
     out.expect_iff(
         "tree_var_s_gap_sign",
         gap_val >= 0,
         gap_val,
-        Fraction(0),
+        0,
         is_path,
         "tree_var_s_gap_equality_iff",
+        q=2 * n * n,
     )
     if n >= 3:
-        out.expect_iff("tree_s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird, ctx.cls.is_bidegreed)
+        s_side, ird_side = ns * ird_den, ird * n  # over n * ird_den
+        bidegreed = ctx.cls.is_bidegreed
+        out.expect_iff("tree_s_ge_ird", s_side >= ird_side, s_side, ird_side, bidegreed, q=n * ird_den)
 
 
 def _check_cyclic(out: _Outcome, ctx: GraphContext) -> None:
     """Closed forms for cycle rank 1..(n+2)/2; their two bounds are ``bounds`` entries."""
-    ms = ctx.ms
-    cf = _cyclic_formulas(ctx)
-    out.expect_eq("cyclic_s_closed", cf.s_closed, ms.s)
-    out.expect_eq("cyclic_var_closed", cf.var_closed, ms.var)
+    _, ns, v = ctx.sums
+    n = ctx.n
+    (s_closed, _), (var_closed, _), residue = _cyclic_sides(ctx)
+    out.expect_eq("cyclic_s_closed", s_closed, ns, q=n)
+    out.expect_eq("cyclic_var_closed", var_closed, v, q=n * n)
     if not ctx.cls.is_unicyclic:
         return
-    assert cf.unicyclic_residue is not None
-    out.expect_eq("unicyclic_nvar_minus_s", ctx.n * ms.var - ms.s, cf.unicyclic_residue)
+    assert residue is not None
+    out.expect_eq("unicyclic_nvar_minus_s", v - ns, n * residue, q=n)  # n*Var - S over n
     if not ctx.cls.is_regular:
-        assert ms.omega is not None
-        floor = Fraction(1, ctx.n)
+        # Omega = Var/S = V/(n * nS) against 1/n = nS/(n * nS); nS > 0 off regular graphs
         within_123 = all(d <= 3 for d in ctx.stats.degree_set)
-        out.expect_iff(
-            "unicyclic_omega_floor", ms.omega >= floor, ms.omega, floor, within_123
-        )
+        out.expect_iff("unicyclic_omega_floor", v >= ns, v, ns, within_123, q=n * ns)
 
 
 def _check_omega(out: _Outcome, ctx: GraphContext) -> None:
@@ -337,7 +376,7 @@ def _suite_spectral(profiles: list[_Profile]) -> _Outcome:
         if not ctx.cls.is_connected or ctx.cls.is_regular:
             continue
         for code, g in zip(codes, graphs):
-            params = two_walk_params(g)
+            params = _two_walk_fit(g.rows)  # the profile says connected and irregular
             if params is None:
                 continue
             out.checked += 1

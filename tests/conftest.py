@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy
@@ -166,3 +167,26 @@ def trees_upto10() -> dict[int, list[Graph]]:
 @pytest.fixture(scope="session")
 def unicyclic_upto9() -> dict[int, list[Graph]]:
     return _by_n(range_specs("unicyclic", 9))
+
+
+@pytest.fixture(scope="session")
+def oracle_codes() -> list[str]:
+    """Codes of whole n <= 7, trees n <= 12 and unicyclic graphs n <= 10."""
+    specs = range_specs("all", 7) + range_specs("trees", 12) + range_specs("unicyclic", 10)
+    return [code for codes in enumerate_range(specs) for code in codes]
+
+
+def seeded_random_graphs() -> list[Graph]:
+    """Random graphs on 60 to 70 vertices, both graph6 size forms, sparse to dense.
+
+    A code has the one-byte size form up to n = 62 and the four-byte one from
+    n = 63; edge probabilities 0.03 to 0.9 put codes on both sides of the
+    reader's switch to column blocks at 8n edges.
+    """
+    rng = random.Random(20240)
+    out = []
+    for n in (60, 61, 62, 63, 64, 66, 70):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for p in (0.03, 0.1, 0.3, 0.9):
+            out.append(from_edge_list(n, [e for e in pairs if rng.random() < p]))
+    return out

@@ -554,6 +554,42 @@ class TestExitContract:
         assert b"Traceback" not in err
 
 
+def _entry_point(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m graphirr`` on this checkout's source, as a user runs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(CACHE_ENV, None)
+    return subprocess.run(
+        [sys.executable, "-m", "graphirr", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestEntryPoint:
+    """``__main__`` passes main's exit code through, with the collector off and frozen."""
+
+    def test_clean_run_exit_0(self, tmp_path):
+        argv = ["verify", "--suite", "bounds", "--max-n", "4", "--cache-dir", str(tmp_path)]
+        proc = _entry_point(*argv)
+        assert proc.returncode == 0 and "suite=bounds checked=" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_unknown_suite_exit_2(self, tmp_path):
+        argv = ["verify", "--suite", "bogus", "--max-n", "4", "--cache-dir", str(tmp_path)]
+        proc = _entry_point(*argv)
+        assert proc.returncode == 2 and "unknown suite 'bogus'" in proc.stderr
+
+    def test_argparse_exits_pass_through(self):
+        # argparse leaves through SystemExit: 0 after --version, 2 on a bad option
+        version = _entry_point("--version")
+        assert version.returncode == 0 and version.stdout == __version__ + "\n"
+        bad = _entry_point("verify", "--max-n")
+        assert bad.returncode == 2 and "expected one argument" in bad.stderr
+
+
 class TestRuntimeDependencies:
     def test_cli_import_does_not_load_numpy(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -582,3 +618,20 @@ class TestRuntimeDependencies:
             " assert not {'dataclasses', 'multiprocessing'} & set(sys.modules)"
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_cli_import_loads_no_logging(self):
+        # logging pulls in traceback, tokenize, linecache, textwrap and string,
+        # about 8 ms of every command; it is imported at its one warning
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import graphirr.cli, sys; assert 'logging' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_damaged_cache_still_warns(self, tmp_path):
+        argv = ["verify", "--suite", "bounds", "--max-n", "4", "--cache-dir", str(tmp_path)]
+        assert _entry_point(*argv).returncode == 0
+        damaged = sorted(tmp_path.iterdir())[-1]
+        damaged.write_text(damaged.read_text()[:-2] + "\n")
+        proc = _entry_point(*argv)
+        assert proc.returncode == 0
+        assert f"cache file {damaged} fails its checks; recomputing" in proc.stderr

@@ -1,5 +1,7 @@
 """Format round trips, with networkx as the graph6 byte-level oracle."""
 
+import binascii
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,12 @@ from graphirr.errors import CapabilityError, InputError
 from graphirr.families import complete_split, cycle, path, star
 from graphirr.graph import Graph, from_edge_list
 from graphirr.io import (
+    _G6_CHARS,
+    _G6_MAX_N,
+    _G6_TO_BASE64,
     GEN_MAX_M,
     GEN_MAX_N,
+    _body_length,
     format_edge_list,
     parse_edge_list,
     parse_graph,
@@ -18,7 +24,7 @@ from graphirr.io import (
     to_graph6,
 )
 
-from conftest import graphs
+from conftest import graphs, seeded_random_graphs
 
 
 @st.composite
@@ -102,6 +108,53 @@ def bitwise_parse_graph6(code: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
+    return Graph(n, tuple(rows))
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """The column-by-column reader that the set-bit one replaced, body unchanged.
+
+    The body is translated back to base64 and decoded to one integer whose
+    bits are the upper triangle in column order; column j, reversed, is the
+    part of ``rows[j]`` below j, and each of its bits is mirrored into the
+    row of the other end.
+    """
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise InputError("empty graph6 string")
+    if not s.isascii() or s.encode("ascii").translate(None, _G6_CHARS):
+        if len(s.split()) > 1:
+            raise InputError("input holds more than one graph6 code; give one graph")
+        raise InputError("graph6 string contains bytes outside 63..126")
+    data = s.encode("ascii")
+    if data[0] == 126:
+        if len(data) < 4:
+            raise InputError("truncated graph6 size field")
+        if data[1] == 126:  # the 8-byte size form, used only for larger n
+            raise CapabilityError(f"graph6 reader supports n <= {_G6_MAX_N}")
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    if n < 1:
+        raise InputError("graph6 graph must have at least one vertex")
+    need = _body_length(n)
+    if len(body) != need:
+        raise InputError(
+            f"graph6 body length {len(body)} does not match n={n} (expected {need})"
+        )
+    packed = binascii.a2b_base64(body.translate(_G6_TO_BASE64) + b"A" * (-need % 4))
+    bits = f"{int.from_bytes(packed, 'big'):0{8 * len(packed)}b}"  # pair k is bits[k]
+    rows = [0] * n
+    for j in range(1, n):
+        rows[j] = column = int(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= 1 << j
+            column ^= low
     return Graph(n, tuple(rows))
 
 
@@ -202,6 +255,32 @@ class TestGraph6:
         # "~~" then 36 bits of n = 2**24: refused by the cap, not misread
         with pytest.raises(CapabilityError, match="n <= 258047"):
             parse_graph6("~~?@????")
+
+
+class TestAgainstReferenceDecoder:
+    """``parse_graph6`` gives the rows of the reader it replaced on every code below."""
+
+    def test_population_codes(self, oracle_codes):
+        # whole n <= 7, trees n <= 12, unicyclic n <= 10
+        assert len(oracle_codes) == 1252 + 986 + 1040
+        for code in oracle_codes:
+            assert parse_graph6(code) == reference_parse_graph6(code), code
+
+    def test_seeded_random_graphs(self):
+        graphs = seeded_random_graphs()
+        assert {g.m > 8 * g.n for g in graphs} == {False, True}  # both ways of reading
+        codes = [to_graph6(g) for g in graphs]
+        assert {code[0] == "~" for code in codes} == {False, True}  # both size forms
+        for code in codes:
+            assert parse_graph6(code) == reference_parse_graph6(code), code
+
+    @pytest.mark.parametrize(
+        "g", [path(5000), complete_split(1500, 700)], ids=["path5000", "cs1500-700"]
+    )
+    def test_large_sparse_and_dense(self, g):
+        # a path is read from its set bits; CS(1500, 700) in three column blocks
+        code = to_graph6(g)
+        assert parse_graph6(code) == reference_parse_graph6(code) == g
 
 
 class TestEdgeList:

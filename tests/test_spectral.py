@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from typing import Optional
 
 import pytest
 
@@ -13,17 +14,18 @@ from graphirr.families import (
     star,
     wheel,
 )
-from graphirr.graph import from_edge_list
+from graphirr.graph import Graph, from_edge_list, is_connected
 from graphirr.io import parse_graph6, to_graph6
 from graphirr.measures import measure_set
 from graphirr.spectral import (
     TwoWalkParams,
+    _two_walk_fit,
     two_walk_params,
     two_walk_radius_test,
     variance_spectral_identity,
 )
 
-from conftest import spectral_radius_numpy
+from conftest import seeded_random_graphs, spectral_radius_numpy
 
 
 def friendship(k: int):
@@ -90,6 +92,82 @@ def affine_fit(g):
     a = F(s1 - s0, d1 - d0)
     b = s0 - a * d0
     return (a, b) if all(s == a * d + b for d, (s,) in sums.items()) else None
+
+
+def reference_two_walk_params(g: Graph) -> Optional[TwoWalkParams]:
+    """The fit as it was before it read rows alone, body unchanged: the oracle.
+
+    ``g`` must be connected and irregular.  The fit is decided in integers,
+    from the degrees and neighbourhoods alone: no context is built.
+    """
+    if not is_connected(g):
+        raise InputError("two-walk detection needs a connected graph")
+    degs = g.degrees()
+    dmax, dmin = max(degs), min(degs)
+    if dmax == dmin:
+        raise InputError("two-walk parameters are not unique for regular graphs")
+
+    def degree_sum(w: int) -> int:  # S(w)
+        return sum(degs[x] for x in g.neighbors(w))
+
+    u = degs.index(dmax)
+    v = degs.index(dmin)
+    # the line through (d_u, S(u)) and (d_v, S(v)) has slope a = num/den and
+    # intercept b = b_den/den; each vertex is tested with den cleared, and the
+    # first one off the line ends the fit
+    s_u = degree_sum(u)
+    num, den = s_u - degree_sum(v), degs[u] - degs[v]
+    b_den = s_u * den - num * degs[u]
+    if any(degree_sum(w) * den != num * degs[w] + b_den for w in range(g.n)):
+        return None
+    a = num // den  # exact: see the module docstring
+    return TwoWalkParams(a=a, b=s_u - a * degs[u])
+
+
+class TestAgainstReferenceFit:
+    """``_two_walk_fit`` and ``two_walk_params`` give the old fit on connected irregular graphs."""
+
+    @staticmethod
+    def check(graphs) -> int:
+        checked = 0
+        for g in graphs:
+            if not is_connected(g) or len(set(g.degrees())) < 2:
+                continue
+            want = reference_two_walk_params(g)
+            assert _two_walk_fit(g.rows) == want, to_graph6(g)
+            assert two_walk_params(g) == want, to_graph6(g)
+            checked += 1
+        return checked
+
+    def test_population_codes(self, oracle_codes):
+        # connected irregular: 980 of whole n <= 7, 985 trees (all but K2) and
+        # 1032 unicyclic graphs (all but C3 .. C10)
+        assert self.check(map(parse_graph6, oracle_codes)) == 980 + 985 + 1032
+
+    def test_seeded_random_and_large_graphs(self):
+        large = [path(5000), complete_split(1500, 700), complete_split(60, 1)]
+        assert self.check(seeded_random_graphs() + large) > 20
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            from_edge_list(1, []),
+            from_edge_list(2, [(0, 1)]),
+            cycle(7),
+            named("trigonal_prism"),
+            from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+            from_edge_list(5, [(0, 1), (1, 2), (3, 4)]),
+            from_edge_list(3, []),
+        ],
+        ids=["K1", "K2", "C7", "prism", "2K3", "P3+K2", "3K1"],
+    )
+    def test_public_fit_still_refuses(self, g):
+        # regular or disconnected: the public name checks, as the old one did
+        with pytest.raises(InputError) as old:
+            reference_two_walk_params(g)
+        with pytest.raises(InputError) as new:
+            two_walk_params(g)
+        assert str(new.value) == str(old.value)
 
 
 class TestEveryAffineFit:

@@ -1,6 +1,7 @@
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -17,11 +18,19 @@ from graphirr.errors import InputError
 from graphirr.families import complete, complete_split, path, star, wheel
 from graphirr.graph import classify, degree_stats, from_edge_list
 from graphirr.io import parse_graph6, to_graph6
-from graphirr.measures import bound_report, measure_set
+from graphirr.measures import (
+    GraphContext,
+    _branch_weight,
+    _cyclic_formulas,
+    _tree_formulas,
+    bound_report,
+    measure_set,
+)
 from graphirr.serialize import report_json
 from graphirr.spectral import TwoWalkParams
 from graphirr.verify import (
     SUITE_IDS,
+    _Outcome,
     ExtremalResult,
     check_deviation_conjecture,
     check_omega_conjecture,
@@ -140,11 +149,162 @@ class TestSinglePass:
     def test_spectral_suite_reports_radius_failure(self, monkeypatch):
         # star(4) has Dmin = 1; a = 4, b = -3 gives mu = (4 - 2)/2 = 1 = Dmin
         monkeypatch.setattr(
-            verify, "two_walk_params", lambda g: TwoWalkParams(4, -3)
+            verify, "_two_walk_fit", lambda rows: TwoWalkParams(4, -3)
         )
         rep = run_suite([star(4)], "spectral")
         radius = [(v.lhs, v.rhs) for v in rep.violations if v.check == "two_walk_radius"]
         assert radius == [("4", "4")]
+
+
+# The three checks as they were before they compared integer numerators,
+# bodies unchanged: the oracle for the integer ones.
+
+
+def reference_check_degree_counts(out: _Outcome, ctx: GraphContext) -> None:
+    """Pendant/degree-2 counts from the cycle rank and higher-degree census."""
+    hist = ctx.stats.histogram
+    c = ctx.cls.cyclomatic or 0
+    bw = _branch_weight(hist)
+    n_high = sum(cnt for d, cnt in hist.items() if d >= 3)
+    out.expect_eq("pendant_count", Fraction(hist.get(1, 0)), Fraction(2 - 2 * c + bw))
+    out.expect_eq(
+        "degree_two_count",
+        Fraction(hist.get(2, 0)),
+        Fraction(2 * c + ctx.n - 2 - bw - n_high),
+    )
+
+
+def reference_check_trees(out: _Outcome, ctx: GraphContext) -> None:
+    ms = ctx.ms
+    tf = _tree_formulas(ctx)
+    out.expect_eq("tree_s_closed", tf.s_closed, ms.s)
+    out.expect_eq("tree_var_closed", tf.var_closed, ms.var)
+    out.expect_eq("tree_irr_closed", tf.irr_closed, ms.irr)
+    out.expect_eq("tree_s_from_pendants", tf.n1_based_s, ms.s)
+
+    is_path = ctx.stats.max_degree <= 2
+    n = ctx.n
+    out.expect_iff("tree_s_floor", ms.s >= tf.s_floor, ms.s, tf.s_floor, is_path)
+    out.expect_iff("tree_var_floor", ms.var >= tf.var_floor, ms.var, tf.var_floor, is_path)
+    if n >= 3:
+        half_n = Fraction(n, 2)
+        out.expect_iff("tree_irr_floor", ms.irr >= half_n, ms.irr, half_n, is_path)
+
+    # IRD bracketed by the branch-weight bounds, tight iff no middle degrees
+    no_mid = all(d in (1, 2, ctx.stats.max_degree) for d in ctx.stats.degree_set)
+    out.expect_iff("tree_ird_upper", ms.ird <= tf.ird_upper, ms.ird, tf.ird_upper, no_mid)
+    out.expect_iff("tree_ird_lower", ms.ird >= tf.ird_lower, ms.ird, tf.ird_lower, no_mid)
+
+    # mean-relative identity: Var - S/(2n) is a weighted branch sum, >= 0
+    gap_val = ms.var - ms.s / (2 * n)
+    out.expect_eq("tree_var_s_gap_identity", gap_val, tf.var_s_gap)
+    out.expect_iff(
+        "tree_var_s_gap_sign",
+        gap_val >= 0,
+        gap_val,
+        Fraction(0),
+        is_path,
+        "tree_var_s_gap_equality_iff",
+    )
+    if n >= 3:
+        out.expect_iff("tree_s_ge_ird", ms.s >= ms.ird, ms.s, ms.ird, ctx.cls.is_bidegreed)
+
+
+def reference_check_cyclic(out: _Outcome, ctx: GraphContext) -> None:
+    """Closed forms for cycle rank 1..(n+2)/2; their two bounds are ``bounds`` entries."""
+    ms = ctx.ms
+    cf = _cyclic_formulas(ctx)
+    out.expect_eq("cyclic_s_closed", cf.s_closed, ms.s)
+    out.expect_eq("cyclic_var_closed", cf.var_closed, ms.var)
+    if not ctx.cls.is_unicyclic:
+        return
+    assert cf.unicyclic_residue is not None
+    out.expect_eq("unicyclic_nvar_minus_s", ctx.n * ms.var - ms.s, cf.unicyclic_residue)
+    if not ctx.cls.is_regular:
+        assert ms.omega is not None
+        floor = Fraction(1, ctx.n)
+        within_123 = all(d <= 3 for d in ctx.stats.degree_set)
+        out.expect_iff(
+            "unicyclic_omega_floor", ms.omega >= floor, ms.omega, floor, within_123
+        )
+
+
+def _perturbed_tree_sides(real):
+    def sides(ctx):  # every closed form's numerator one more than it is
+        return [(p + 1, q) for p, q in real(ctx)]
+
+    return sides
+
+
+def _perturbed_cyclic_sides(real):
+    def sides(ctx):
+        (s, n), (var, n_sq), residue = real(ctx)
+        return (s + 1, n), (var + 1, n_sq), None if residue is None else residue + 1
+
+    return sides
+
+
+def _perturbed_sums(real):
+    def sums(ctx):  # S + 1 and Var + 1/7, as in the pinned-failure golden
+        m1, ns, v = real(ctx)
+        return m1, ns + ctx.n, v + Fraction(ctx.n**2, 7)
+
+    return sums
+
+
+class TestAgainstFractionChecks:
+    """``trees``, ``cyclic`` and ``degree_counts`` record what the Fraction checks did.
+
+    Every profile of trees n <= 12, unicyclic graphs n <= 10 and connected
+    graphs n <= 7 is checked as it is, with perturbed degree sums, and with
+    every closed form perturbed, so that most checks fail and the printed
+    sides of each failure are compared too.
+    """
+
+    CHECKS = [
+        (verify._check_trees, reference_check_trees, lambda c: c.cls.is_tree and c.n >= 2),
+        (verify._check_cyclic, reference_check_cyclic, measures._cyclic_range),
+        (
+            verify._check_degree_counts,
+            reference_check_degree_counts,
+            lambda c: c.cls.is_connected and c.n >= 2,
+        ),
+    ]
+
+    @pytest.fixture(scope="class")
+    def profiles(self, oracle_codes):
+        keys = {
+            (tuple(sorted(Counter(g.degrees()).items())), graph.is_connected(g))
+            for g in map(parse_graph6, oracle_codes)
+        }
+        return sorted(keys)
+
+    @pytest.mark.parametrize("perturbed", ["none", "sums", "closed_forms"])
+    def test_same_outcomes(self, profiles, perturbed, monkeypatch):
+        if perturbed == "sums":
+            monkeypatch.setattr(measures, "_sums", _perturbed_sums(measures._sums))
+        elif perturbed == "closed_forms":
+            monkeypatch.setattr(measures, "_tree_sides", _perturbed_tree_sides(measures._tree_sides))
+            monkeypatch.setattr(verify, "_tree_sides", measures._tree_sides)
+            monkeypatch.setattr(
+                measures, "_cyclic_sides", _perturbed_cyclic_sides(measures._cyclic_sides)
+            )
+            monkeypatch.setattr(verify, "_cyclic_sides", measures._cyclic_sides)
+        checked = failed = 0
+        for key in profiles:
+            for check, reference, applies in self.CHECKS:
+                ctx = GraphContext(*key)  # fresh, so no cached sum outlives a patch
+                if not applies(ctx):
+                    continue
+                new, old = _Outcome(), _Outcome()
+                new.codes = old.codes = ("g",)
+                check(new, ctx)
+                reference(old, GraphContext(*key))
+                assert new.violations == old.violations, key
+                checked += 1
+                failed += bool(old.violations)
+        assert checked > 500
+        assert (failed == 0) == (perturbed == "none")
 
 
 _ENTRY_POINTS = {
