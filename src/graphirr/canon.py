@@ -10,6 +10,11 @@ prefixes, so only the prefixes tied for the largest code so far are kept, and
 of two tied twins (vertices whose neighbourhoods differ at most in each other)
 only one.  This is exact for any graph; the size cap only bounds the number
 of tied prefixes.
+
+The same search yields automorphisms for free (:func:`_canonical_automorphisms`):
+two kept orders give the same relabelled rows, and each pair of twins set
+aside can be swapped.  Every best order is a kept one with some of those twin
+swaps applied, so together they generate the whole automorphism group.
 """
 
 from __future__ import annotations
@@ -26,7 +31,12 @@ Rows = tuple[int, ...]
 
 
 def _stable_colors(rows: Rows, n: int) -> list[int]:
-    """Iteratively refine colours by multisets of neighbour colours."""
+    """Iteratively refine colours by multisets of neighbour colours.
+
+    Each round splits classes or keeps them, so the first round that splits
+    none has reached the stable partition; its colours are the ranks of the
+    classes, which a further round would return unchanged.
+    """
     nbrs = []
     for v in range(n):
         mask = rows[v]
@@ -37,20 +47,18 @@ def _stable_colors(rows: Rows, n: int) -> list[int]:
             mask ^= low
         nbrs.append(a)
     colors = [len(a) for a in nbrs]
+    classes = len(set(colors))
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
-            for v in range(n)
-        ]
+        keys = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == colors:
+        colors = [rank[k] for k in keys]
+        if len(rank) == classes:
             return colors
-        colors = new
+        classes = len(rank)
 
 
-def _search_order(rows: Rows, n: int, colors: list[int]) -> list[int]:
-    """The colour-respecting vertex order with the largest code, in one pass.
+def _search_orders(rows: Rows, n: int, twins: list[tuple[int, int]]) -> list[list[int]]:
+    """The colour-respecting vertex orders with the largest code, in one pass.
 
     An order's code is the sequence whose entry i packs the adjacency bits of
     the vertex at position i towards positions 0..i-1 (earlier position =
@@ -68,8 +76,11 @@ def _search_order(rows: Rows, n: int, colors: list[int]) -> list[int]:
 
     Twin rule: two tied candidates of one prefix whose neighbourhoods differ
     at most in each other are twins; swapping them is an automorphism fixing
-    the prefix, so only one of them is kept.
+    the prefix, so only the first is kept and the pair goes into ``twins``.
     """
+    colors = _stable_colors(rows, n)
+    if len(set(colors)) == n:  # every vertex told apart: one order, no search
+        return [sorted(range(n), key=colors.__getitem__, reverse=True)]
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
@@ -92,30 +103,30 @@ def _search_order(rows: Rows, n: int, colors: list[int]) -> list[int]:
             if top == best:
                 kept: list[int] = []
                 for bits, v in scored:
-                    rv = rows[v]
-                    if bits == top and all((rows[u] ^ rv) & ~(1 << u | 1 << v) for u in kept):
-                        kept.append(v)
-                        grown.append(placed + [v])
+                    if bits == top:
+                        rv = rows[v]
+                        for u in kept:
+                            if not (rows[u] ^ rv) & ~(1 << u | 1 << v):
+                                twins.append((u, v))
+                                break
+                        else:
+                            kept.append(v)
+                            grown.append(placed + [v])
         prefixes = grown
-    return prefixes[0]
+    return prefixes
 
 
-def canonical_order(rows: Rows, n: int) -> list[int]:
-    """Vertex order realising the canonical form (old label at position i)."""
-    colors = _stable_colors(rows, n)
-    if len(set(colors)) == n:
-        return sorted(range(n), key=colors.__getitem__, reverse=True)
-    return _search_order(rows, n, colors)
+def _positions(order: list[int]) -> list[int]:
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
 
 
 def relabel_rows(rows: Rows, order: list[int]) -> Rows:
-    n = len(order)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    out = [0] * n
-    for v in range(n):
-        mask = rows[v]
+    pos = _positions(order)
+    out = [0] * len(order)
+    for v, mask in enumerate(rows):
         acc = 0
         while mask:
             low = mask & -mask
@@ -130,7 +141,26 @@ def canonical_rows(rows: Rows, n: int) -> Rows:
         raise CapabilityError(
             f"canonical form supported up to n={CANONICAL_CAP}, got n={n}"
         )
-    return relabel_rows(rows, canonical_order(rows, n))
+    return relabel_rows(rows, _search_orders(rows, n, [])[0])
+
+
+def _canonical_automorphisms(rows: Rows, n: int) -> tuple[Rows, list[list[int]]]:
+    """:func:`canonical_rows` and generators of the automorphism group of that form.
+
+    Each generator is a permutation of the canonical positions.  Two kept
+    orders o and o' relabel to the same rows, so position i goes to the
+    position of o[i] in o'; a twin pair (u, v) swaps the positions of u and v.
+    Unlike :func:`canonical_rows` it does not check the size cap.
+    """
+    twins: list[tuple[int, int]] = []
+    first, *others = _search_orders(rows, n, twins)
+    gens = [[at[v] for v in first] for at in map(_positions, others)]
+    pos = _positions(first)
+    for u, v in set(twins):
+        swap = list(range(n))
+        swap[pos[u]], swap[pos[v]] = pos[v], pos[u]
+        gens.append(swap)
+    return relabel_rows(rows, first), gens
 
 
 def leaf_certificate(rows: Sequence[int], labels: dict[Rows, int]) -> Rows:

@@ -10,8 +10,8 @@ Subcommands::
     extremal     maximisers of S and Var over one (n, m) slice
 
 Exit codes: 0 success, 1 violations found, 2 bad input, 3 size cap exceeded,
-141 standard output closed by its reader (128 + SIGPIPE, as a shell reports
-a writer killed by that signal).
+141 standard output closed by its reader (128 + SIGPIPE, the status a shell
+reports for a writer that SIGPIPE ended).
 """
 
 from __future__ import annotations

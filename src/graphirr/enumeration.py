@@ -10,30 +10,41 @@ graph, or a leaf of a tree or of a unicyclic graph other than a cycle, leaves
 one of the smaller size.
 
 A whole-range child is built only when its new vertex has minimum degree in
-it: deleting a minimum-degree vertex of any graph leaves a graph of the size
-below, so every class still has such a child (the degree part of McKay's
+it, and canonicalised only when no other vertex of that degree has more
+2-walks (:func:`_most_walks`).  Both are isomorphism invariants, and deleting
+a vertex that passes both from any graph leaves a graph of the size below, so
+every class still has such a child (the invariant part of McKay's
 canonical-deletion test, B. D. McKay, J. Algorithms 26 (1998) 306-324).  With
 a fixed ``m`` the sizes below ``n`` also keep only the edge counts that can
-still reach m that way (:func:`_edge_window`).  Duplicates that remain are
-removed by canonical code.  A tree or unicyclic child is first checked
-against the :func:`~graphirr.canon.leaf_certificate` of the children already
-seen at its size, which tells their classes apart in linear time, so only the
-first child of each class is canonicalised.
+still reach m that way (:func:`_edge_window`).
+
+A whole-range parent P also tries only one mask of each orbit of its
+automorphisms, which the canonical search reports with P's canonical form
+(:func:`~graphirr.canon._canonical_automorphisms`).  This loses no class: for
+an automorphism s of P, P + s(M) is isomorphic to P + M by a map that fixes
+the new vertex; the minimum-degree masks, the edge window, the 2-walk test
+and the spec's filters depend on degrees, edge counts and isomorphism class
+only, so they keep or drop M and s(M) alike.  Any group
+of automorphisms is thus sound, and how much of the group the generators
+span affects only speed.  Duplicates that remain are removed by canonical
+code.  A tree or unicyclic child is first checked against the
+:func:`~graphirr.canon.leaf_certificate` of the children already seen at its
+size, which tells their classes apart in linear time, so only the first child
+of each class is canonicalised.
 
 Specs that differ only in ``n`` form a family, served by one growth up to its
 largest ``n``: a smaller size keeps every representative and filters it by its
-spec after canonicalisation, the last size before.  Output is sorted by
-canonical code, so it is identical for any worker count.
+spec after canonicalisation, the last size before.  Every growth runs in the
+calling process; output is sorted by canonical code.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import tempfile
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .canon import Rows, canonical_rows, leaf_certificate
+from .canon import Rows, _canonical_automorphisms, canonical_rows, leaf_certificate
 from .errors import CapabilityError, InputError
 from .graph import Graph, rows_connected
 from .io import _body_length, to_graph6
@@ -147,14 +158,55 @@ def _min_degree_masks(
                 yield mask
 
 
+def _most_walks(rows: list[int]) -> bool:
+    """Whether the last vertex, of minimum degree, has the most 2-walks of any vertex of that degree.
+
+    The 2-walks from v number the sum over u of |N(v) & N(u)|, which is the
+    sum of the degrees of v's neighbours.
+    """
+    least = rows[-1].bit_count()
+    walks = [sum([(r & s).bit_count() for s in rows]) for r in rows if r.bit_count() == least]
+    return walks[-1] == max(walks)
+
+
+def _orbit_representatives(masks: Iterable[int], gens: list[list[int]]) -> Iterator[int]:
+    """The first of ``masks`` in each orbit of the group that ``gens`` generates.
+
+    The group must map ``masks`` onto themselves; each orbit is walked once,
+    from its first mask, through the images under the generators.
+    """
+    if not gens:
+        yield from masks
+        return
+    images = [[1 << p for p in gen] for gen in gens]
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        yield mask
+        seen.add(mask)
+        todo = [mask]
+        while todo:
+            rest = todo.pop()
+            for image in images:
+                moved = sum([bit for v, bit in enumerate(image) if rest >> v & 1])
+                if moved not in seen:
+                    seen.add(moved)
+                    todo.append(moved)
+
+
 def _children(
-    parents: list[Rows], size: int, spec: EnumerationSpec, last: bool
-) -> set[Rows]:
+    parents: dict[Rows, list[list[int]]], size: int, spec: EnumerationSpec, last: bool
+) -> dict[Rows, list[list[int]]]:
     """Canonical children on ``size`` vertices of the representatives ``parents``.
 
-    A whole-range child is built only when its new vertex has minimum degree
-    and its edge count lies in :func:`_edge_window`; on the last size only the
-    children that ``spec`` keeps are canonicalised.
+    ``parents`` maps each representative to generators of its automorphism
+    group, and so does the result, but on the last size, where no child is a
+    parent, every list is empty.  A whole-range child is built only when its
+    new vertex has minimum degree and its edge count lies in
+    :func:`_edge_window`, and only for one mask of each orbit of its parent's
+    automorphisms, and canonicalised only if it passes :func:`_most_walks`;
+    on the last size only the children that ``spec`` keeps are canonicalised.
     """
     sparse = spec.population != "all"
     bit = 1 << (size - 1)
@@ -165,11 +217,14 @@ def _children(
         for mask in range(bit):
             by_count[mask.bit_count()].append(mask)
         window = _edge_window(spec, size)
-    classes: set[Rows] = set()
+    classes: dict[Rows, list[list[int]]] = {}
     labels: dict[Rows, int] = {}
     seen: set[Rows] = set()
-    for parent in parents:
-        masks = leaves if sparse else _min_degree_masks(parent, by_count, *window)
+    for parent, gens in parents.items():
+        if sparse:
+            masks: Iterable[int] = leaves
+        else:
+            masks = _orbit_representatives(_min_degree_masks(parent, by_count, *window), gens)
         for mask in masks:
             rows = [*parent, mask]
             rest = mask
@@ -184,102 +239,26 @@ def _children(
                 if cert in seen:
                     continue
                 seen.add(cert)
-            classes.add(canonical_rows(tuple(rows), size))
+            elif not _most_walks(rows):
+                continue
+            if sparse or last:
+                classes[canonical_rows(tuple(rows), size)] = []
+            else:
+                child, child_gens = _canonical_automorphisms(tuple(rows), size)
+                classes[child] = child_gens
     return classes
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; more worker processes than that gain nothing."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _last_size(reps: list[Rows], spec: EnumerationSpec, workers: int) -> set[Rows]:
-    """The children of ``reps`` on ``spec.n`` vertices, split over ``workers`` processes.
-
-    The parent forks one child per share but the first, which it computes
-    itself; each child sends its classes back through a pipe in marshal form.
-    Classes are canonical rows, so the merged set does not depend on the
-    split.  Without ``os.fork`` the whole level runs in this process.
-    """
-    workers = min(workers, len(reps), _usable_cpus())
-    if workers <= 1 or not hasattr(os, "fork"):
-        return _children(reps, spec.n, spec, True)
-    import signal  # only here: importing it costs every command start-up about 1 ms
-
-    reads: list[int] = []
-    pids: list[int] = []
-    try:
-        for share in range(1, workers):
-            read, write = os.pipe()
-            reads.append(read)
-            # SIGINT stays blocked in the child, so it cannot unwind into the
-            # caller's code, and in the parent until the child is on record
-            blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_share(write, reads, reps[share::workers], spec)
-                pids.append(pid)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-                os.close(write)
-        classes = _children(reps[::workers], spec.n, spec, True)
-        # read every pipe to its end before waiting, so no child blocks on a full pipe
-        parts = []
-        for read in reads:
-            with open(read, "rb", closefd=False) as pipe:
-                parts.append(pipe.read())
-        while pids:
-            _, status = os.waitpid(pids[0], 0)
-            pid = pids.pop(0)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(f"enumeration worker {pid} failed with status {code}")
-        for part in parts:
-            classes |= marshal.loads(part)
-        return classes
-    finally:
-        for read in reads:
-            os.close(read)
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run_share(write: int, reads: list[int], share: list[Rows], spec: EnumerationSpec) -> None:
-    """In a forked child: send the classes of ``share`` down ``write`` and exit.
-
-    The child leaves through ``os._exit`` whatever happens, so it never flushes
-    the parent's buffered output or runs its exit handlers; its status is 0
-    only once the whole answer is written.
-    """
-    status = 1
-    try:
-        for read in reads:
-            os.close(read)
-        with open(write, "wb", closefd=False) as pipe:
-            pipe.write(marshal.dumps(_children(share, spec.n, spec, True)))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _grow(spec: EnumerationSpec, sizes: set[int], workers: int) -> dict[int, list[str]]:
+def _grow(spec: EnumerationSpec, sizes: set[int]) -> dict[int, list[str]]:
     """Sorted codes of ``spec`` with ``n`` set to each of ``sizes <= spec.n``, one growth."""
     unicyclic = spec.population == "unicyclic"
-    classes: set[Rows] = set() if unicyclic else {(0,)}
+    classes: dict[Rows, list[list[int]]] = {} if unicyclic else {(0,): []}
     out: dict[int, list[str]] = {}
     for size in range(3 if unicyclic else 1, spec.n + 1):
         if size > 1:
-            reps = list(classes)
-            if size == spec.n:
-                classes = _last_size(reps, spec, workers)
-            else:
-                classes = _children(reps, size, spec, False)
+            classes = _children(classes, size, spec, size == spec.n)
         if unicyclic and (size < spec.n or _keep(spec, _cycle(size))):
-            classes.add(canonical_rows(tuple(_cycle(size)), size))
+            classes[canonical_rows(tuple(_cycle(size)), size)] = []
         if size in sizes:
             out[size] = sorted(
                 to_graph6(Graph(size, rows)) for rows in classes if _keep(spec, rows)
@@ -292,7 +271,8 @@ def enumerate_range(
 ) -> list[list[str]]:
     """Sorted canonical codes per spec; specs that differ only in ``n`` share one growth.
 
-    With ``cache_dir``, each spec has its own file there.  A file that passes
+    ``workers`` must be positive and has no other effect: the growth runs in
+    this process.  With ``cache_dir``, each spec has its own file there.  A file that passes
     :func:`_read_cache` is read, one that fails is logged, and only the specs
     without a good file are grown and written.  The file name holds the
     package version, so files of another version are never read.
@@ -322,7 +302,7 @@ def enumerate_range(
         else:
             found[spec] = codes
     for family, sizes in families.items():
-        for n, codes in _grow(family._replace(n=max(sizes)), sizes, workers).items():
+        for n, codes in _grow(family._replace(n=max(sizes)), sizes).items():
             spec = family._replace(n=n)
             found[spec] = codes
             if cache_dir:

@@ -25,7 +25,7 @@ _G6_CHARS = bytes(range(63, 127))  # a graph6 code is written in these bytes alo
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_TO_G6 = bytes.maketrans(_BASE64, _G6_CHARS)
 _G6_TO_BASE64 = bytes.maketrans(_G6_CHARS, _BASE64)
-_BLOCK_CHARS = 1 << 20  # the characters of one block of columns in _dense_rows
+_BLOCK_CHARS = 1 << 20  # the characters of one block of columns, read or written
 
 
 def check_size(what: str, n: int, m: int) -> None:
@@ -50,21 +50,36 @@ def _body_length(n: int) -> int:
 
 
 def to_graph6(g: Graph) -> str:
-    """The graph6 code of ``g``, one column of the upper triangle at a time.
+    """The graph6 code of ``g``, one block of columns of the upper triangle at a time.
 
     Column j lists x(0, j) .. x(j-1, j), which is bit 0 first of
-    ``rows[j] & (2**j - 1)``.  The columns make one bit string, padded with
-    zeros to a multiple of 24 bits; base64 cuts it into the same 6-bit groups
-    as graph6, so translating its alphabet to bytes 63..126 gives the body.
+    ``rows[j] & (2**j - 1)``.  Columns 1 .. c - 1 hold c(c - 1)/2 bits, a
+    multiple of 6 whenever c is 1 more than a multiple of 48, so blocks of a
+    multiple of 48 columns from column 1 fill whole characters and are
+    encoded apart (:func:`_graph6_columns`).  A block is kept near 2^20
+    bits, so memory stays linear in the code's length.
     """
     n, rows = g.n, g.rows
+    step = 48 * (_BLOCK_CHARS // (48 * n) or 1)
+    code = bytes(_size_chars(n)).decode("ascii")
+    for first in range(1, n, step):
+        code += _graph6_columns(rows, first, min(first + step, n))
+    return code
+
+
+def _graph6_columns(rows: tuple[int, ...], first: int, end: int) -> str:
+    """The graph6 characters of columns ``first`` .. ``end - 1``, the last one padded with zeros.
+
+    The columns make one bit string, padded with zeros to a multiple of 24
+    bits; base64 cuts it into the same 6-bit groups as graph6, so
+    translating its alphabet to bytes 63..126 gives the characters.
+    """
     # bin() of the column with a 1 set above its top bit, reversed up to that 1
-    bits = "".join([bin(rows[j] & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(1, n)])
-    size = len(bits)
-    pad = -size % 24
-    data = (int(bits, 2) << pad if bits else 0).to_bytes((size + pad) // 8, "big")
-    body = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_G6)
-    return (bytes(_size_chars(n)) + body[: _body_length(n)]).decode("ascii")
+    bits = "".join([bin(rows[j] & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(first, end)])
+    pad = -len(bits) % 24
+    data = (int(bits, 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    chars = binascii.b2a_base64(data, newline=False)[: (len(bits) + 5) // 6]
+    return chars.translate(_BASE64_TO_G6).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

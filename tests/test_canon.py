@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphirr.canon import (
     CANONICAL_CAP,
+    _canonical_automorphisms,
     _stable_colors,
     canonical_code,
     canonical_rows,
@@ -205,6 +206,58 @@ class TestAgainstReferenceSearch:
         h = nx.convert_node_labels_to_integers(h)
         g = from_edge_list(h.number_of_nodes(), list(h.edges()))
         self.assert_same_rows(g, 5, random.Random(g.n))
+
+
+def moved_rows(rows, perm):
+    """``rows`` with vertex i renamed perm[i]; equal to ``rows`` exactly when perm is an automorphism."""
+    return relabel_rows(rows, sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def orbits(n, perms):
+    """The vertex orbits of the group the permutations ``perms`` of range(n) generate."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for perm in perms:
+        for v in range(n):
+            parent[root(v)] = root(perm[v])
+    return sorted(sorted(v for v in range(n) if root(v) == r) for r in set(map(root, range(n))))
+
+
+class TestAutomorphisms:
+    """The generators the canonical search reports with each canonical form."""
+
+    @staticmethod
+    def generators(code: str, rng: random.Random) -> tuple[tuple[int, ...], list[list[int]]]:
+        """The canonical rows of ``code`` and the generators found from a random relabelling."""
+        g = parse_graph6(code)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        rows, gens = _canonical_automorphisms(permute(g, order).rows, g.n)
+        assert rows == g.rows
+        return rows, gens
+
+    def test_every_generator_is_an_automorphism(self, connected_codes_8):
+        rng = random.Random(8)
+        lists = enumerate_range(range_specs("all", 7))
+        for code in [c for codes in lists for c in codes] + connected_codes_8:
+            rows, gens = self.generators(code, rng)
+            for perm in gens:
+                assert sorted(perm) == list(range(len(rows)))
+                assert moved_rows(rows, perm) == rows, (code, perm)
+
+    def test_orbits_equal_brute_force(self):
+        rng = random.Random(6)
+        for codes in enumerate_range(range_specs("all", 6)):
+            for code in codes:
+                rows, gens = self.generators(code, rng)
+                n = len(rows)
+                group = [p for p in permutations(range(n)) if moved_rows(rows, p) == rows]
+                assert orbits(n, gens) == orbits(n, group), code
 
 
 class TestSpecificPairs:

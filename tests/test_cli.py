@@ -487,6 +487,15 @@ class TestExtremalCmd:
         code, _, _ = run(capsys, "extremal", "--n", "6", "--m", "2")
         assert code == 2
 
+    def test_workers_start_no_process(self, capsys, monkeypatch, tmp_path):
+        def refuse():
+            raise AssertionError("extremal started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        argv = ["extremal", "--n", "7", "--m", "11", "--cache-dir", str(tmp_path)]
+        code, out, _ = run(capsys, *argv, "--workers", "2")
+        assert code == 0 and "attained by: CS(7,2)" in out
+
 
 class TestSplitKCmd:
     def test_rule(self, capsys):
@@ -598,7 +607,7 @@ class TestRuntimeDependencies:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_worker_run_does_not_load_multiprocessing(self):
-        # extra workers are plain forked processes with a pipe each, not a pool
+        # a worker count starts no pool: the growth runs in the calling process
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = (

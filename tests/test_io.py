@@ -1,6 +1,7 @@
 """Format round trips, with networkx as the graph6 byte-level oracle."""
 
 import binascii
+import random
 
 import networkx as nx
 import pytest
@@ -11,12 +12,14 @@ from graphirr.errors import CapabilityError, InputError
 from graphirr.families import complete_split, cycle, path, star
 from graphirr.graph import Graph, from_edge_list
 from graphirr.io import (
+    _BASE64_TO_G6,
     _G6_CHARS,
     _G6_MAX_N,
     _G6_TO_BASE64,
     GEN_MAX_M,
     GEN_MAX_N,
     _body_length,
+    _size_chars,
     format_edge_list,
     parse_edge_list,
     parse_graph,
@@ -88,6 +91,17 @@ def bitwise_graph6(g) -> str:
     if nbits:
         chars.append((acc << (6 - nbits)) + 63)
     return "".join(map(chr, chars))
+
+
+def whole_string_graph6(g) -> str:
+    """The writer ``to_graph6`` replaced, packing every column into one string first."""
+    n, rows = g.n, g.rows
+    bits = "".join([bin(rows[j] & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(1, n)])
+    size = len(bits)
+    pad = -size % 24
+    data = (int(bits, 2) << pad if bits else 0).to_bytes((size + pad) // 8, "big")
+    body = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_G6)
+    return (bytes(_size_chars(n)) + body[: _body_length(n)]).decode("ascii")
 
 
 def bitwise_parse_graph6(code: str) -> Graph:
@@ -281,6 +295,25 @@ class TestAgainstReferenceDecoder:
         # a path is read from its set bits; CS(1500, 700) in three column blocks
         code = to_graph6(g)
         assert parse_graph6(code) == reference_parse_graph6(code) == g
+
+
+class TestAgainstWholeStringWriter:
+    """``to_graph6`` writes the bytes of the writer it replaced, block by block."""
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(100)
+        for n in range(1, 101):
+            for p in (0.05, 0.5, 0.95):
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                g = from_edge_list(n, [e for e in pairs if rng.random() < p])
+                assert to_graph6(g) == whole_string_graph6(g), (n, p)
+
+    @pytest.mark.parametrize(
+        "g", [path(5000), complete_split(1500, 700)], ids=["path5000", "cs1500-700"]
+    )
+    def test_many_blocks(self, g):
+        # path(5000) in 27 blocks of up to 192 columns, CS(1500, 700) in 3 of up to 672
+        assert to_graph6(g) == whole_string_graph6(g)
 
 
 class TestEdgeList:
