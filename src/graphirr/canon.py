@@ -19,8 +19,6 @@ swaps applied, so together they generate the whole automorphism group.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import CapabilityError
 from .graph import Graph
 from .io import to_graph6
@@ -161,53 +159,6 @@ def _canonical_automorphisms(rows: Rows, n: int) -> tuple[Rows, list[list[int]]]
         swap[pos[u]], swap[pos[v]] = pos[v], pos[u]
         gens.append(swap)
     return relabel_rows(rows, first), gens
-
-
-def leaf_certificate(rows: Sequence[int], labels: dict[Rows, int]) -> Rows:
-    """Isomorphism certificate of a tree or a connected unicyclic graph, in linear time.
-
-    Leaves are peeled layer by layer (Aho, Hopcroft and Ullman's tree code).
-    Each peeled vertex is labelled by the sorted tuple of its peeled
-    neighbours' labels, interned in ``labels`` to an int; the peeling stops
-    at a centre, a bicentre or the cycle.  A tree's certificate is the sorted
-    labels of its centre(s), a unicyclic graph's the least rotation or
-    reflection of its cycle's labels.  Two graphs whose labels were interned
-    in the same dict have equal certificates exactly when they are isomorphic.
-    """
-    n = len(rows)
-    deg = [r.bit_count() for r in rows]
-    kids: list[list[int]] = [[] for _ in range(n)]
-
-    def label(v: int) -> int:
-        return labels.setdefault(tuple(sorted(kids[v])), len(labels))
-
-    alive = (1 << n) - 1
-    layer = [v for v in range(n) if deg[v] <= 1]
-    while layer and alive.bit_count() > 2:
-        for v in layer:
-            alive ^= 1 << v
-        below = []
-        for v in layer:
-            # the one neighbour left: with more than two vertices alive, a
-            # connected graph has no two adjacent leaves
-            up = rows[v] & alive
-            if up:
-                u = up.bit_length() - 1
-                kids[u].append(label(v))
-                deg[u] -= 1
-                if deg[u] == 1:
-                    below.append(u)
-        layer = below
-    rest = [v for v in range(n) if alive >> v & 1]
-    if len(rest) <= 2:
-        return tuple(sorted(map(label, rest)))
-    ring, came, v = [], 0, rest[0]
-    for _ in rest:  # once round the cycle, which is all that is left
-        ring.append(label(v))
-        step = rows[v] & alive & ~came
-        came, v = 1 << v, (step & -step).bit_length() - 1
-    k = len(ring)
-    return min(tuple(seq[i : i + k]) for seq in (ring * 2, ring[::-1] * 2) for i in range(k))
 
 
 def canonical_code(g: Graph) -> str:

@@ -1,25 +1,26 @@
 """Exhaustive generation of small-graph populations up to isomorphism.
 
-Every population grows one vertex at a time: a child is a representative on
-``size - 1`` vertices plus a new vertex joined to a neighbourhood mask, kept
-once per canonical form (graph6 codes are written for the output only).  The
-whole range grows from K1 by every mask, trees from K1 by single-vertex masks,
-and unicyclic graphs from C3 by single-vertex masks with the cycle C_size added
-at each size.  This reaches every class because deleting any vertex of a
-graph, or a leaf of a tree or of a unicyclic graph other than a cycle, leaves
-one of the smaller size.
+Every population grows one vertex at a time by one rule: a child is a
+representative on ``size - 1`` vertices plus a new vertex joined to a
+neighbourhood mask, kept once per canonical form (graph6 codes are written
+for the output only).  The whole range grows from K1, trees from K1, and
+unicyclic graphs from C3 with the cycle C_size added at each size.
+:func:`_edge_window` bounds the child's edge count: a tree or unicyclic child
+has exactly one edge more than its parent, so its new vertex is a leaf.
 
-A whole-range child is built only when its new vertex has minimum degree in
-it, and canonicalised only when no other vertex of that degree has more
-2-walks (:func:`_most_walks`).  Both are isomorphism invariants, and deleting
-a vertex that passes both from any graph leaves a graph of the size below, so
-every class still has such a child (the invariant part of McKay's
-canonical-deletion test, B. D. McKay, J. Algorithms 26 (1998) 306-324).  With
-a fixed ``m`` the sizes below ``n`` also keep only the edge counts that can
-still reach m that way (:func:`_edge_window`).
+A child is built only when its new vertex has minimum degree in it, and
+canonicalised only when no other vertex of that degree has more 2-walks
+(:func:`_most_walks`).  Both are isomorphism invariants, so every class is
+reached if deleting such a vertex from any graph of the population leaves a
+graph of the population on one vertex fewer (the invariant part of McKay's
+canonical-deletion test, B. D. McKay, J. Algorithms 26 (1998) 306-324).  In
+the whole range any vertex will do.  In a tree, or in a unicyclic graph that
+is not a cycle, a minimum-degree vertex is a leaf, and deleting a leaf keeps
+the graph in its population.  With a fixed ``m`` the whole range's sizes
+below ``n`` also keep only the edge counts that can still reach m that way.
 
-A whole-range parent P also tries only one mask of each orbit of its
-automorphisms, which the canonical search reports with P's canonical form
+A parent P also tries only one mask of each orbit of its automorphisms,
+which the canonical search reports with P's canonical form
 (:func:`~graphirr.canon._canonical_automorphisms`).  This loses no class: for
 an automorphism s of P, P + s(M) is isomorphic to P + M by a map that fixes
 the new vertex; the minimum-degree masks, the edge window, the 2-walk test
@@ -27,10 +28,7 @@ and the spec's filters depend on degrees, edge counts and isomorphism class
 only, so they keep or drop M and s(M) alike.  Any group
 of automorphisms is thus sound, and how much of the group the generators
 span affects only speed.  Duplicates that remain are removed by canonical
-code.  A tree or unicyclic child is first checked against the
-:func:`~graphirr.canon.leaf_certificate` of the children already seen at its
-size, which tells their classes apart in linear time, so only the first child
-of each class is canonicalised.
+code.
 
 Specs that differ only in ``n`` form a family, served by one growth up to its
 largest ``n``: a smaller size keeps every representative and filters it by its
@@ -44,7 +42,7 @@ import os
 import tempfile
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .canon import Rows, _canonical_automorphisms, canonical_rows, leaf_certificate
+from .canon import Rows, _canonical_automorphisms, canonical_rows
 from .errors import CapabilityError, InputError
 from .graph import Graph, rows_connected
 from .io import _body_length, to_graph6
@@ -130,11 +128,15 @@ def _cycle(size: int) -> list[int]:
 def _edge_window(spec: EnumerationSpec, size: int) -> tuple[int, int]:
     """The edge counts from which a graph on ``size`` vertices can still grow into ``spec``.
 
-    With ``spec.m`` fixed, a graph on k vertices with e edges loses at most
+    A tree or unicyclic graph on k vertices has k - 1 or k edges.  With
+    ``spec.m`` fixed, a graph on k vertices with e edges loses at most
     floor(2e/k) edges with a vertex of minimum degree, and e - floor(2e/k)
     never falls as e grows, so the window's floor is m stepped down that way
     from ``spec.n`` to ``size``.  The window always holds m itself.
     """
+    offset = _M_MINUS_N.get(spec.population)
+    if offset is not None:
+        return size + offset, size + offset
     if spec.m is None:
         return 0, size * (size - 1) // 2
     low = spec.m
@@ -161,11 +163,19 @@ def _min_degree_masks(
 def _most_walks(rows: list[int]) -> bool:
     """Whether the last vertex, of minimum degree, has the most 2-walks of any vertex of that degree.
 
-    The 2-walks from v number the sum over u of |N(v) & N(u)|, which is the
-    sum of the degrees of v's neighbours.
+    The 2-walks from v number the sum of the degrees of v's neighbours.
     """
-    least = rows[-1].bit_count()
-    walks = [sum([(r & s).bit_count() for s in rows]) for r in rows if r.bit_count() == least]
+    degrees = [r.bit_count() for r in rows]
+    least = degrees[-1]
+    walks = []
+    for r, d in zip(rows, degrees):
+        if d == least:
+            total = 0
+            while r:
+                low = r & -r
+                total += degrees[low.bit_length() - 1]
+                r ^= low
+            walks.append(total)
     return walks[-1] == max(walks)
 
 
@@ -189,7 +199,11 @@ def _orbit_representatives(masks: Iterable[int], gens: list[list[int]]) -> Itera
         while todo:
             rest = todo.pop()
             for image in images:
-                moved = sum([bit for v, bit in enumerate(image) if rest >> v & 1])
+                moved, bits = 0, rest
+                while bits:
+                    low = bits & -bits
+                    moved |= image[low.bit_length() - 1]
+                    bits ^= low
                 if moved not in seen:
                     seen.add(moved)
                     todo.append(moved)
@@ -202,46 +216,29 @@ def _children(
 
     ``parents`` maps each representative to generators of its automorphism
     group, and so does the result, but on the last size, where no child is a
-    parent, every list is empty.  A whole-range child is built only when its
-    new vertex has minimum degree and its edge count lies in
-    :func:`_edge_window`, and only for one mask of each orbit of its parent's
-    automorphisms, and canonicalised only if it passes :func:`_most_walks`;
-    on the last size only the children that ``spec`` keeps are canonicalised.
+    parent, every list is empty.  A child is built only when its new vertex
+    has minimum degree and its edge count lies in :func:`_edge_window`, and
+    only for one mask of each orbit of its parent's automorphisms, and
+    canonicalised only if it passes :func:`_most_walks`; on the last size
+    only the children that ``spec`` keeps are canonicalised.
     """
-    sparse = spec.population != "all"
     bit = 1 << (size - 1)
-    if sparse:
-        leaves = [1 << v for v in range(size - 1)]
-    else:
-        by_count: list[list[int]] = [[] for _ in range(size)]
-        for mask in range(bit):
-            by_count[mask.bit_count()].append(mask)
-        window = _edge_window(spec, size)
+    by_count: list[list[int]] = [[] for _ in range(size)]
+    for mask in range(bit):
+        by_count[mask.bit_count()].append(mask)
+    window = _edge_window(spec, size)
     classes: dict[Rows, list[list[int]]] = {}
-    labels: dict[Rows, int] = {}
-    seen: set[Rows] = set()
     for parent, gens in parents.items():
-        if sparse:
-            masks: Iterable[int] = leaves
-        else:
-            masks = _orbit_representatives(_min_degree_masks(parent, by_count, *window), gens)
-        for mask in masks:
+        for mask in _orbit_representatives(_min_degree_masks(parent, by_count, *window), gens):
             rows = [*parent, mask]
             rest = mask
             while rest:
                 low = rest & -rest
                 rows[low.bit_length() - 1] |= bit
                 rest ^= low
-            if last and not _keep(spec, rows):
+            if (last and not _keep(spec, rows)) or not _most_walks(rows):
                 continue
-            if sparse:
-                cert = leaf_certificate(rows, labels)
-                if cert in seen:
-                    continue
-                seen.add(cert)
-            elif not _most_walks(rows):
-                continue
-            if sparse or last:
+            if last:
                 classes[canonical_rows(tuple(rows), size)] = []
             else:
                 child, child_gens = _canonical_automorphisms(tuple(rows), size)

@@ -181,7 +181,6 @@ class _BoundDef(NamedTuple):
     holds: Callable[[int, int], bool]  # holds(L, R): operator.le, ge or lt
     predicted: Callable[[GraphContext], bool]
     equality_mode: str  # "iff", or "if" (sufficient only)
-    ambiguous: bool = False  # condition mismatches are findings, not failures
 
 
 def _regular_or_balanced(c: GraphContext) -> bool:
@@ -264,7 +263,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         holds=ge,
         predicted=_two_degrees,
         equality_mode="iff",
-        ambiguous=True,
     ),
     _BoundDef(
         bound_id="var_ge_scaled_irr_ird",

@@ -3,9 +3,8 @@
 A suite walks a population of isomorphism-class representatives and records
 
 * violations -- an asserted inequality or identity failed (hard failure);
-* findings   -- an observed equality disagrees with the documented structural
-  condition for a bound whose condition is known to be ambiguous, or an
-  equality shows up outside the expected family during a conjecture scan;
+* findings   -- during a conjecture scan, an equality disagrees with the
+  family in which the scan expects it;
 * equalities -- informational list of equality cases.
 
 Every check but one reads only a graph's degree profile: its order, sorted
@@ -211,10 +210,7 @@ def _check_bound(defn: _BoundDef, out: _Outcome, ctx: GraphContext) -> None:
             if equal
             else "documented equality condition held strictly"
         )
-        if defn.ambiguous:
-            out.find(defn.bound_id, note)
-        else:
-            out.expect(defn.bound_id, False, left, right, note, q)
+        out.expect(defn.bound_id, False, left, right, note, q)
 
 
 def _check_bounds(out: _Outcome, ctx: GraphContext) -> None:

@@ -86,14 +86,19 @@ def degree2_inflate(h: Graph, count: int) -> Graph:
 
 
 def s_definitional(g: Graph) -> Fraction:
-    """Degree deviation straight from the definition, vertex by vertex."""
-    avg = Fraction(2 * g.m, g.n)
-    return sum((abs(Fraction(d) - avg) for d in g.degrees()), Fraction(0))
+    """Degree deviation straight from the definition, vertex by vertex.
+
+    Each term |d - 2m/n| is |n*d - 2m|/n, so the integers are summed and
+    divided by n once.
+    """
+    two_m = 2 * g.m
+    return Fraction(sum(abs(g.n * d - two_m) for d in g.degrees()), g.n)
 
 
 def var_definitional(g: Graph) -> Fraction:
-    avg = Fraction(2 * g.m, g.n)
-    return sum(((Fraction(d) - avg) ** 2 for d in g.degrees()), Fraction(0)) / g.n
+    """Degree variance from the definition: the mean of (d - 2m/n)^2 = (n*d - 2m)^2/n^2."""
+    two_m = 2 * g.m
+    return Fraction(sum((g.n * d - two_m) ** 2 for d in g.degrees()), g.n**3)
 
 
 def m1_definitional(g: Graph) -> int:

@@ -209,8 +209,7 @@ def test_inequality_suites_exhaustive(
     elapsed = time.monotonic() - start
     for rep in reports:
         assert not rep.violations, (rep.suite_id, rep.violations[:5])
-        for finding in rep.findings:
-            assert finding.check == "s_ge_scaled_ird", finding  # the one ambiguous bound
+        assert not rep.findings, (rep.suite_id, rep.findings[:5])
     assert elapsed < 1800.0, f"suites took {elapsed:.0f}s"
 
 

@@ -6,7 +6,6 @@ from itertools import permutations
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphirr.canon import (
     CANONICAL_CAP,
@@ -14,7 +13,6 @@ from graphirr.canon import (
     _stable_colors,
     canonical_code,
     canonical_rows,
-    leaf_certificate,
     relabel_rows,
 )
 from graphirr.enumeration import enumerate_range, range_specs
@@ -115,18 +113,6 @@ def reference_search_order(rows, n, colors):
 
 def reference_rows(rows, n):
     return relabel_rows(rows, reference_search_order(rows, n, _stable_colors(rows, n)))
-
-
-@st.composite
-def trees_and_unicyclic(draw, max_n: int = 12) -> Graph:
-    """A random tree, each vertex joined to an earlier one, maybe with one edge more."""
-    n = draw(st.integers(1, max_n))
-    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
-    tree = from_edge_list(n, edges)
-    if n < 3 or not draw(st.booleans()):
-        return tree
-    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not tree.rows[u] >> v & 1]
-    return from_edge_list(n, edges + [draw(st.sampled_from(absent))])
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -322,37 +308,3 @@ class TestSymmetricGraphs:
     def test_cap_enforced(self):
         with pytest.raises(CapabilityError):
             canonical_code(path(CANONICAL_CAP + 1))
-
-
-class TestLeafCertificate:
-    @pytest.mark.parametrize("population, max_n", [("trees", 12), ("unicyclic", 10)])
-    def test_equal_exactly_when_codes_are(self, population, max_n):
-        # every class up to the cap, each also under one seeded relabelling
-        rng = random.Random(max_n)
-        labels: dict = {}
-        certs = {}
-        for codes in enumerate_range(range_specs(population, max_n)):
-            for code in codes:
-                g = parse_graph6(code)
-                order = list(range(g.n))
-                rng.shuffle(order)
-                h = permute(g, order)
-                assert canonical_code(h) == code
-                cert = leaf_certificate(g.rows, labels)
-                assert leaf_certificate(h.rows, labels) == cert
-                assert certs.setdefault(cert, code) == code
-
-    @settings(max_examples=200, deadline=None)
-    @given(trees_and_unicyclic(), permutations_of(12))
-    def test_invariant_under_relabelling(self, g, perm):
-        labels: dict = {}
-        assert leaf_certificate(g.rows, labels) == leaf_certificate(
-            permute(g, perm[: g.n]).rows, labels
-        )
-
-    @settings(max_examples=200, deadline=None)
-    @given(trees_and_unicyclic(max_n=7), trees_and_unicyclic(max_n=7))
-    def test_equal_exactly_when_isomorphic(self, g1, g2):
-        labels: dict = {}
-        same = leaf_certificate(g1.rows, labels) == leaf_certificate(g2.rows, labels)
-        assert same == (g1.n == g2.n and nx.is_isomorphic(to_nx(g1), to_nx(g2)))

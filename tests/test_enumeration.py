@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import random
 import stat
 from collections import Counter
 from functools import lru_cache
@@ -20,6 +21,8 @@ from graphirr.enumeration import (
 from graphirr.errors import CapabilityError, InputError
 from graphirr.graph import from_edge_list, is_connected
 from graphirr.io import parse_graph6
+
+from conftest import permute
 
 # Known class counts, used as independent oracles (OEIS A001349, A000088).
 CONNECTED_BY_N = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -68,7 +71,9 @@ def count_canonicalisations(monkeypatch) -> list[int]:
     """A one-item list counting every canonical form the growth computes.
 
     Those are the calls through ``enumeration.canonical_rows`` and, on the
-    sizes below the last, through ``enumeration._canonical_automorphisms``.
+    sizes below the last, through ``enumeration._canonical_automorphisms``,
+    in every population: trees and unicyclic graphs grow by the same rule as
+    the whole range.
     """
     calls = [0]
     for name in ("canonical_rows", "_canonical_automorphisms"):
@@ -219,8 +224,8 @@ class TestRange:
     @pytest.mark.parametrize(
         "population, max_n, connected, calls",
         [
-            ("trees", 12, False, 986),
-            ("unicyclic", 10, False, 1040),
+            ("trees", 12, False, 1296),
+            ("unicyclic", 10, False, 1309),
             ("all", 6, True, 166),
             ("all", 7, False, 1306),
         ],
@@ -300,6 +305,34 @@ class TestRange:
     def test_empty_range_refused(self):
         with pytest.raises(InputError, match="smallest order is 3"):
             range_specs("unicyclic", 2)
+
+
+def most_walks_reference(rows: list[int]) -> bool:
+    """The 2-walk test as the sum over u of |N(v) & N(u)|, one popcount per pair."""
+    least = rows[-1].bit_count()
+    walks = [sum([(r & s).bit_count() for s in rows]) for r in rows if r.bit_count() == least]
+    return walks[-1] == max(walks)
+
+
+class TestMostWalks:
+    def test_agrees_with_common_neighbour_counts(self):
+        rng = random.Random(27)
+        verdicts = Counter()
+        for _ in range(3000):
+            n = rng.randint(2, 12)
+            p = rng.choice([0.15, 0.3, 0.5, 0.8])
+            g = from_edge_list(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            # give a minimum-degree vertex the largest key, so it comes last
+            degrees = g.degrees()
+            last = rng.choice([v for v in range(n) if degrees[v] == min(degrees)])
+            rows = list(permute(g, [n if v == last else v for v in range(n)]).rows)
+            assert rows[-1].bit_count() == min(degrees)
+            verdict = enumeration._most_walks(rows)
+            assert verdict == most_walks_reference(rows), rows
+            verdicts[verdict] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 class TestCrossPopulationAgreement:
