@@ -38,8 +38,8 @@ calling process; output is sorted by canonical code.
 
 from __future__ import annotations
 
+import binascii
 import os
-import tempfile
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import Rows, _canonical_automorphisms, canonical_rows
@@ -330,18 +330,29 @@ def _cache_path(spec: EnumerationSpec, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"{spec.key()}-v{__version__}.g6")
 
 
-def _read_cache(path: str, spec: EnumerationSpec) -> Optional[list[str]]:
-    """The codes in ``path``, or None unless it is a sorted list of ``spec``'s codes.
+def _cache_header(spec: EnumerationSpec, count: int, body: bytes) -> bytes:
+    """``#<spec key> <code count> <crc32 of the body>``, a cache file's first line."""
+    return f"#{spec.key()} {count} {binascii.crc32(body)}\n".encode("ascii")
 
-    O(1) per line: the size byte, the length and strict increase, no parsing.
-    Where the OEIS class count is known, the number of lines must equal it.
+
+def _read_cache(path: str, spec: EnumerationSpec) -> Optional[list[str]]:
+    """The codes in ``path``, or None unless it is a whole sorted list of ``spec``'s codes.
+
+    The header must name ``spec``, the number of codes and the CRC-32 of the
+    rest of the file, so a file cut at a line boundary, a file of another
+    spec and a file without a header are all refused.  Each code is checked
+    in O(1): the size byte, the length and strict increase, no parsing.
+    Where the OEIS class count is known, the number of codes must equal it.
     """
     n = spec.n
     size, width = chr(n + 63), 1 + _body_length(n)
+    with open(path, "rb") as fh:
+        header, body = fh.readline(), fh.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            codes = fh.read().split()
+        codes = body.decode("ascii").split()
     except UnicodeDecodeError:
+        return None
+    if header != _cache_header(spec, len(codes), body):
         return None
     for prev, code in zip([""] + codes, codes):
         if len(code) != width or code[0] != size or code <= prev:
@@ -353,14 +364,17 @@ def _read_cache(path: str, spec: EnumerationSpec) -> Optional[list[str]]:
 
 
 def _write_cache(spec: EnumerationSpec, cache_dir: str, codes: list[str]) -> None:
+    body = "".join(code + "\n" for code in codes).encode("ascii")
     os.makedirs(cache_dir, exist_ok=True)
-    # a private temporary name per writer, so concurrent writers cannot clash
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
+    path = _cache_path(spec, cache_dir)
+    # a private temporary name per writer, so concurrent writers cannot clash;
+    # created with mode 0o666, which the kernel narrows by the umask
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write("\n".join(codes) + ("\n" if codes else ""))
-        os.chmod(tmp, 0o666 & ~_umask())  # the mode open() would have given
-        os.replace(tmp, _cache_path(spec, cache_dir))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_cache_header(spec, len(codes), body) + body)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -372,8 +386,3 @@ def enumerate_codes_cached(
     """The sorted codes of one spec, through :func:`enumerate_range`."""
     return enumerate_range([spec], workers, cache_dir)[0]
 
-
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask

@@ -30,10 +30,15 @@ The two-walk fit in ``spectral`` reads neighbour-degree sums and is the only
 check made per graph.
 
 Each bound is checked by ``verify``'s ``bounds`` suite and by the report of
-its own id, which covers the graphs the bound applies to.  Its equality case
-may stand for a closed form: ``s_le_pendant_cyclic_cap`` is tight exactly on
-unicyclic graphs, where it reads S = 2*N1, and ``var_le_product_bound`` is
-tight on bidegreed graphs, with right side Nmax*Nmin*(D-d)^2/n^2.
+its own id, which covers the graphs the bound applies to.  Every row's
+``predicted`` is its exact equality condition, proved in README: a record
+agrees when the bound is at equality exactly where ``predicted`` holds, and
+an equality anywhere else, or a strict bound where it holds, is a condition
+mismatch.  The paper's Var bound for graphs with a dominating vertex is
+``zagreb_le_split_bound`` at Dmax = n - 1.  An equality case may stand for a
+closed form: ``s_le_pendant_cyclic_cap`` is tight exactly on unicyclic
+graphs, where it reads S = 2*N1, and ``var_le_product_bound`` is tight on
+bidegreed graphs, with right side Nmax*Nmin*(D-d)^2/n^2.
 """
 
 from __future__ import annotations
@@ -175,12 +180,11 @@ class _BoundDef(NamedTuple):
     applies: Callable[[GraphContext], bool]
     # sides(c, M1, nS, V) = (L, R, q): the record's sides are L/q and R/q, so
     # holds(L, R) and L == R decide the verdict on integers.  q > 0 on every
-    # row: it is a product of n, n + gap and y = 2n-1-Dmin >= n, with nS in
-    # the two omega rows, which apply only to irregular graphs, where nS > 0.
+    # row: it is a product of 2, n and n + gap, with nS in the two omega
+    # rows, which apply only to irregular graphs, where nS > 0.
     sides: Callable[[GraphContext, int, int, int], tuple[int, int, int]]
     holds: Callable[[int, int], bool]  # holds(L, R): operator.le, ge or lt
-    predicted: Callable[[GraphContext], bool]
-    equality_mode: str  # "iff", or "if" (sufficient only)
+    predicted: Callable[[GraphContext], bool]  # equality holds exactly when this does
 
 
 def _regular_or_balanced(c: GraphContext) -> bool:
@@ -196,22 +200,11 @@ def _degrees_within_extremes_or_mean(c: GraphContext) -> bool:
     return all(c.n * d in allowed for d in c.stats.degree_set)
 
 
-def _is_split(c: GraphContext) -> bool:
-    return c.cls.complete_split_k is not None
-
-
 def _cyclic_range(c: GraphContext) -> bool:
     if not c.cls.is_connected:
         return False
     cyc = c.cls.cyclomatic
     return cyc is not None and 1 <= cyc and 2 * cyc <= c.n + 2
-
-
-def _dominating_cap_sides(c: GraphContext, m1: int, ns: int, v: int) -> tuple[int, int, int]:
-    """Both sides of ``dominating_var_cap`` times n^2*y: x = 2m+(n-1)(n-1-Dmin), y = 2n-1-Dmin."""
-    x = 2 * c.m + (c.n - 1) * (c.n - 1 - c.stats.min_degree)
-    y = 2 * c.n - 1 - c.stats.min_degree
-    return v * y, 2 * c.m * (c.n * x - 2 * c.m * y), c.n**2 * y
 
 
 _BOUNDS: tuple[_BoundDef, ...] = (
@@ -222,7 +215,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         sides=lambda c, m1, ns, v: (2 * v, c.gap * ns, 2 * c.n**2),
         holds=le,
         predicted=_degrees_within_extremes_or_mean,
-        equality_mode="iff",
     ),
     _BoundDef(
         bound_id="s_le_irr",
@@ -231,7 +223,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         sides=lambda c, m1, ns, v: (2 * ns, c.n**2 * c.gap, 2 * c.n),
         holds=le,
         predicted=_regular_or_balanced,
-        equality_mode="iff",
     ),
     _BoundDef(
         bound_id="var_le_gap_sq4",
@@ -240,7 +231,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         sides=lambda c, m1, ns, v: (4 * v, c.n**2 * c.gap**2, 4 * c.n**2),
         holds=le,
         predicted=_regular_or_balanced,
-        equality_mode="iff",
     ),
     _BoundDef(
         bound_id="var_le_product_bound",
@@ -253,7 +243,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         ),
         holds=le,
         predicted=_two_degrees,
-        equality_mode="iff",
     ),
     _BoundDef(
         bound_id="s_ge_scaled_ird",
@@ -262,7 +251,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         sides=lambda c, m1, ns, v: (ns, 2 * c.n_max * c.n_min * c.gap, c.n),
         holds=ge,
         predicted=_two_degrees,
-        equality_mode="iff",
     ),
     _BoundDef(
         bound_id="var_ge_scaled_irr_ird",
@@ -275,16 +263,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         ),
         holds=ge,
         predicted=_two_degrees,
-        equality_mode="iff",
-    ),
-    _BoundDef(
-        bound_id="dominating_var_cap",
-        formula="Var <= (2m/n)[2m+(n-1)(n-1-Dmin)]/(2n-1-Dmin) - (2m/n)^2",
-        applies=lambda c: c.cls.is_dominating,
-        sides=_dominating_cap_sides,
-        holds=le,
-        predicted=_is_split,
-        equality_mode="if",
     ),
     _BoundDef(
         bound_id="s_sq_le_n_sq_var",
@@ -293,7 +271,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         sides=lambda c, m1, ns, v: (ns * ns, c.n**2 * v, c.n**2),
         holds=le,
         predicted=_regular_or_balanced,
-        equality_mode="iff",
     ),
     _BoundDef(
         bound_id="zagreb_le_split_bound",
@@ -305,8 +282,7 @@ _BOUNDS: tuple[_BoundDef, ...] = (
             c.n + c.gap,
         ),
         holds=le,
-        predicted=lambda c: c.cls.is_regular or _is_split(c),
-        equality_mode="if",
+        predicted=lambda c: c.cls.is_regular or c.cls.complete_split_k is not None,
     ),
     _BoundDef(
         bound_id="omega_lt_half",
@@ -315,7 +291,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         sides=lambda c, m1, ns, v: (2 * v, c.n * ns, 2 * c.n * ns),
         holds=lt,
         predicted=lambda c: False,
-        equality_mode="if",
     ),
     _BoundDef(
         bound_id="omega_ge_cyclic_floor",
@@ -324,7 +299,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         sides=lambda c, m1, ns, v: (v, ns - 2 * c.n**2, c.n * ns),
         holds=ge,
         predicted=lambda c: False,
-        equality_mode="if",
     ),
     _BoundDef(
         bound_id="s_le_pendant_cyclic_cap",
@@ -337,7 +311,6 @@ _BOUNDS: tuple[_BoundDef, ...] = (
         ),
         holds=le,
         predicted=lambda c: c.cls.is_unicyclic,
-        equality_mode="iff",
     ),
 )
 
@@ -351,10 +324,7 @@ def _decide(defn: _BoundDef, ctx: GraphContext) -> tuple[int, int, int, bool, bo
     left, right, q = defn.sides(ctx, *ctx.sums)
     equal = left == right
     predicted = defn.predicted(ctx)
-    if defn.equality_mode == "iff":
-        agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
-    else:
-        agree = CONFIRMED if (not predicted or equal) else CONDITION_MISMATCH
+    agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
     return left, right, q, defn.holds(left, right), equal, predicted, agree
 
 

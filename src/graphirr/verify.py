@@ -21,6 +21,9 @@ numerators of both sides over one q > 0, from the profile's degree sums,
 ``measures._decide`` and ``measures._tree_sides``/``_cyclic_sides``.  The
 sides become ``Fraction``s only for a violation, the one outcome that prints
 them (``_Outcome.expect``).
+Every row's equality condition is exact, so a bound at equality where its
+row does not predict it, or strict where it does, is a violation like a
+failed inequality.
 Every report id is one entry of ``_REPORTS``: the suites, one entry per
 bound of ``measures._BOUNDS``, which checks that bound alone on the graphs it
 applies to, and the two conjecture scans.

@@ -372,7 +372,6 @@ class TestVerify:
             ("var_le_product_bound", 143),
             ("s_ge_scaled_ird", 143),
             ("var_ge_scaled_irr_ird", 143),
-            ("dominating_var_cap", 47),  # a universal vertex
             ("s_sq_le_n_sq_var", 143),
             ("zagreb_le_split_bound", 143),
             ("omega_lt_half", 131),  # irregular

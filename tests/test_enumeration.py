@@ -455,6 +455,13 @@ class TestWorkerProcesses:
 FILTERED = EnumerationSpec(n=6, m=7, connected_only=True, irregular_only=True)
 
 
+def stored_codes(path, spec: EnumerationSpec) -> list[str]:
+    """The codes of a cache file, after checking that its header names ``spec`` and their count."""
+    header, *codes = path.read_text().splitlines()
+    assert header.startswith(f"#{spec.key()} {len(codes)} ")
+    return codes
+
+
 class TestCache:
     def test_round_trip(self, tmp_path, caplog):
         # a whole-range spec, checked against its class count on read, and a
@@ -478,7 +485,7 @@ class TestCache:
         (tmp_path / (final.name + ".tmp")).mkdir()
         codes = enumerate_codes_cached(spec, cache_dir=str(tmp_path))
         assert codes == enumerate_range([spec])[0]
-        assert final.read_text().split() == codes
+        assert stored_codes(final, spec) == codes
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             final.name,
             final.name + ".tmp",
@@ -529,7 +536,7 @@ class TestCache:
             with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
                 assert enumerate_codes_cached(spec, cache_dir=str(tmp_path)) == codes
             assert "recomputing" in caplog.text
-            assert path.read_text().split() == codes
+            assert stored_codes(path, spec) == codes
 
     @pytest.mark.parametrize(
         "spec",
@@ -548,7 +555,44 @@ class TestCache:
         with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
             assert enumerate_codes_cached(spec, cache_dir=str(tmp_path)) == codes
         assert "recomputing" in caplog.text
-        assert path.read_text().split() == codes
+        assert stored_codes(path, spec) == codes
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda header, codes: [header] + codes[:-20],  # the header kept
+            lambda header, codes: [header.replace(" 138 ", " 118 ")] + codes[:-20],
+            lambda header, codes: codes,  # written before the header existed
+            lambda header, codes: [header.replace("-m11-", "-m12-")] + codes,
+        ],
+        ids=["cut", "cut-recounted", "no-header", "other-spec-header"],
+    )
+    def test_file_without_its_own_header_is_recomputed(self, tmp_path, caplog, damage):
+        # a fixed-m slice has no known class count: only the header shows the damage
+        path = tmp_path / f"{SLICE_7_11.key()}-v{__version__}.g6"
+        codes = enumerate_codes_cached(SLICE_7_11, cache_dir=str(tmp_path))
+        header = path.read_text().splitlines()[0]
+        assert len(codes) == 138 and header.startswith(f"#{SLICE_7_11.key()} 138 ")
+        path.write_text("\n".join(damage(header, codes)) + "\n")
+        with caplog.at_level(logging.WARNING, logger="graphirr.enumeration"):
+            assert enumerate_codes_cached(SLICE_7_11, cache_dir=str(tmp_path)) == codes
+        assert "recomputing" in caplog.text
+        assert path.read_text().splitlines() == [header] + codes
+
+    def test_write_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # the kernel applies the umask when the file is created; nothing reads or sets it
+        umask = os.umask(0)
+        os.umask(umask)
+
+        def refuse(mask):
+            raise AssertionError("the cache write changed the umask")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        spec = EnumerationSpec(n=4)
+        codes = enumerate_codes_cached(spec, cache_dir=str(tmp_path))
+        (final,) = tmp_path.iterdir()
+        assert stored_codes(final, spec) == codes
+        assert stat.S_IMODE(final.stat().st_mode) == 0o666 & ~umask
 
     def test_known_counts_match_the_oracles(self):
         for key, oracle in [

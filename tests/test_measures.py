@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as F
@@ -31,6 +32,8 @@ from graphirr.measures import (
     GraphContext,
     MeasureSet,
     _bound_report,
+    _cyclic_range,
+    _decide,
     _degrees_within_extremes_or_mean,
     bound_report,
     context,
@@ -249,10 +252,11 @@ class TestBoundReport:
         assert rec.holds and not rec.is_equality
 
     def test_dominating_cap_exact_on_split(self):
-        rec = self._by_id(complete_split(7, 2))["dominating_var_cap"]
-        assert rec.is_equality and rec.lhs == F(160, 49)
-        rec = self._by_id(wheel(6))["dominating_var_cap"]
-        assert rec.holds and not rec.is_equality
+        # the dominating-vertex Var bound is zagreb_le_split_bound at Dmax = n-1
+        rec = self._by_id(complete_split(7, 2))["zagreb_le_split_bound"]
+        assert rec.is_equality and rec.predicted_equality and rec.agreement == CONFIRMED
+        rec = self._by_id(wheel(6))["zagreb_le_split_bound"]
+        assert rec.holds and not rec.is_equality and not rec.predicted_equality
 
     def test_not_applicable_on_disconnected(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
@@ -341,15 +345,6 @@ REFERENCE_SIDES = {
         * c.ms.irr
         * c.ms.ird,
     ),
-    "dominating_var_cap": (
-        lambda c: c.ms.var,
-        lambda c: c.avg
-        * Fraction(
-            2 * c.m + (c.n - 1) * (c.n - 1 - c.stats.min_degree),
-            2 * c.n - 1 - c.stats.min_degree,
-        )
-        - c.avg * c.avg,
-    ),
     "s_sq_le_n_sq_var": (
         lambda c: c.ms.s * c.ms.s,
         lambda c: c.n * c.n * c.ms.var,
@@ -396,10 +391,7 @@ def reference_report(histogram, connected: bool) -> list[BoundRecord]:
             predicted = reference_degrees_within_extremes_or_mean(c)
         else:
             predicted = defn.predicted(c)
-        if defn.equality_mode == "iff":
-            agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
-        else:
-            agree = CONFIRMED if (not predicted or equal) else CONDITION_MISMATCH
+        agree = CONFIRMED if equal == predicted else CONDITION_MISMATCH
         records.append(
             BoundRecord(
                 defn.bound_id, defn.formula, lhs, rhs, defn.holds(lhs, rhs), equal, predicted, agree
@@ -446,6 +438,80 @@ class TestAgainstFractionSides:
     @given(even_sum_histograms())
     def test_even_sum_multisets(self, histogram):
         self._check(histogram)
+
+
+@pytest.fixture(scope="module")
+def whole_profiles_upto8(all_codes_8) -> list[GraphContext]:
+    """The degree profile of every graph on at most 8 vertices, disconnected included."""
+    codes = [c for codes in enumerate_range(range_specs("all", 7)) for c in codes]
+    return sorted({context(parse_graph6(c)) for c in codes + all_codes_8})
+
+
+def whole_and_random_graphs():
+    """Whole n <= 7, then 200 seeded random graphs with n <= 30, sparse to dense."""
+    codes = [c for codes in enumerate_range(range_specs("all", 7)) for c in codes]
+    rng = random.Random(2028)
+    out = [parse_graph6(c) for c in codes]
+    for _ in range(200):
+        n, p = rng.randint(1, 30), rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        out.append(from_edge_list(n, [e for e in pairs if rng.random() < p]))
+    return out
+
+
+class TestEqualityProofs:
+    """The steps of README's proofs that every row's equality condition is exact."""
+
+    def test_pair_counts(self):
+        for g in whole_and_random_graphs():
+            n, rows, deg = g.n, g.rows, g.degrees()
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            private = 0  # sum over pairs of |N(u) \ N[v]| + |N(v) \ N[u]|
+            for u, v in pairs:
+                only_u = (rows[u] & ~rows[v] & ~(1 << v)).bit_count()
+                only_v = (rows[v] & ~rows[u] & ~(1 << u)).bit_count()
+                assert deg[u] - deg[v] == only_u - only_v
+                gap = max(deg) - min(deg)
+                assert (deg[u] - deg[v]) ** 2 <= gap * (only_u + only_v)
+                private += only_u + only_v
+            # each pair counted once per triple (w, u in N(w), v not in N[w])
+            assert private == sum(d * (n - 1 - d) for d in deg)
+            # Lagrange's identity: V = n*M1 - 4m^2 is the sum of (d_u - d_v)^2
+            m1, _, v = context(g).sums
+            assert v == n * m1 - 4 * g.m**2 == sum((deg[a] - deg[b]) ** 2 for a, b in pairs)
+
+    def test_cyclic_floor_slack(self, whole_profiles_upto8):
+        checked = 0
+        for ctx in filter(_cyclic_range, whole_profiles_upto8):
+            n, c = ctx.n, ctx.cls.cyclomatic
+            _, ns, v = ctx.sums
+            brackets = sum(
+                k * (n * (d - 2) * (d - 3) + 4 * (c - 1)) for d, k in ctx.histogram if d >= 3
+            )
+            slack = v - ns + 2 * n * n  # omega_ge_cyclic_floor reads V >= nS - 2n^2
+            assert slack == brackets + 2 * n * n - 2 * (n + 2 * c - 2) * (c - 1)
+            assert slack > 0
+            checked += 1
+        assert checked == 321
+
+    def test_zagreb_row_decides_the_dominating_var_bound(self, whole_profiles_upto8):
+        # the paper's bound for a dominating vertex, V*y <= 2m(n*x - 2m*y) with
+        # x = 2m + (n-1)(n-1-Dmin) and y = 2n-1-Dmin, at equality iff complete split
+        (zagreb,) = (d for d in _BOUNDS if d.bound_id == "zagreb_le_split_bound")
+        dominating = [c for c in whole_profiles_upto8 if c.cls.is_dominating]
+        for ctx in dominating:
+            n, m, dmin = ctx.n, ctx.m, ctx.stats.min_degree
+            x, y = 2 * m + (n - 1) * (n - 1 - dmin), 2 * n - 1 - dmin
+            left, right = ctx.sums[2] * y, 2 * m * (n * x - 2 * m * y)
+            assert zagreb.applies(ctx)
+            _, _, _, holds, equal, predicted, agreement = _decide(zagreb, ctx)
+            assert (holds, equal, agreement) == (left <= right, left == right, CONFIRMED)
+        assert len(dominating) == 486
+
+    @pytest.mark.slow
+    def test_bounds_suite_whole_upto8(self):
+        rep = run_suite(range_specs("all", 8), "bounds")
+        assert rep.graphs_checked == 13598 and rep.passed and not rep.findings
 
 
 class TestTreeFormulas:

@@ -54,8 +54,8 @@ class TestRunSuite:
         assert rep.passed and not rep.findings
 
     def test_single_bound_suite(self):
-        rep = run_suite([wheel(6), complete_split(7, 2)], "dominating_var_cap")
-        assert rep.passed
+        rep = run_suite([wheel(6), complete_split(7, 2)], "zagreb_le_split_bound")
+        assert rep.passed and rep.graphs_checked == 2
 
     def test_all_suites_connected_upto5(self):
         specs = [EnumerationSpec(n=k, connected_only=True) for k in range(1, 6)]
@@ -544,7 +544,7 @@ class TestOnePath:
             )
         assert kept == len(bounds.violations)  # every bounds outcome is some bound's
         assert (kept > 0) == perturbed
-        assert len(applies) == 12 and min(applies.values()) < bounds.graphs_checked
+        assert len(applies) == 11 and min(applies.values()) < bounds.graphs_checked
 
 
 class TestUnitGapOmega:
