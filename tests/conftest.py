@@ -9,6 +9,7 @@ import numpy
 import pytest
 from hypothesis import strategies as st
 
+from graphirr import enumeration
 from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
 from graphirr.errors import InputError
 from graphirr.graph import Graph, degree_stats, from_edge_list, is_connected
@@ -38,6 +39,26 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7) -> Graph:
 @st.composite
 def permutations_of(draw, n: int) -> list[int]:
     return draw(st.permutations(list(range(n))))
+
+
+def record_canonicalisations(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """A list that collects the (rows, n) of every canonical form the growth computes.
+
+    Those are the calls through ``enumeration.canonical_rows`` and, on the
+    sizes below the last, through ``enumeration._canonical_automorphisms``,
+    in every population: trees and unicyclic graphs grow by the same rule as
+    the whole range.
+    """
+    seen = []
+    for name in ("canonical_rows", "_canonical_automorphisms"):
+        real = getattr(enumeration, name)
+
+        def recording(rows, n, real=real):
+            seen.append((rows, n))
+            return real(rows, n)
+
+        monkeypatch.setattr(enumeration, name, recording)
+    return seen
 
 
 def permute(g: Graph, perm: list[int]) -> Graph:

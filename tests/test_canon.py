@@ -1,4 +1,4 @@
-"""Canonical-form correctness against brute force, networkx and the earlier recursive search."""
+"""Canonical-form correctness against brute force, networkx and the earlier searches and refinement."""
 
 import random
 from itertools import permutations
@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from graphirr.canon import (
     CANONICAL_CAP,
     _canonical_automorphisms,
+    _search_orders,
     _stable_colors,
     canonical_code,
     canonical_rows,
     relabel_rows,
 )
-from graphirr.enumeration import enumerate_range, range_specs
+from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
 from graphirr.errors import CapabilityError
 from graphirr.families import (
     complete,
@@ -29,7 +30,7 @@ from graphirr.families import (
 from graphirr.graph import Graph, from_edge_list
 from graphirr.io import parse_graph6
 
-from conftest import graphs, permutations_of, permute
+from conftest import graphs, permutations_of, permute, record_canonicalisations
 
 
 def brute_min_code(g: Graph) -> tuple[int, ...]:
@@ -115,6 +116,78 @@ def reference_rows(rows, n):
     return relabel_rows(rows, reference_search_order(rows, n, _stable_colors(rows, n)))
 
 
+def roundwise_stable_colors(rows, n):
+    """The round-by-round refinement this module used before the cell-wise one, kept verbatim."""
+    nbrs = []
+    for v in range(n):
+        mask = rows[v]
+        a = []
+        while mask:
+            low = mask & -mask
+            a.append(low.bit_length() - 1)
+            mask ^= low
+        nbrs.append(a)
+    colors = [len(a) for a in nbrs]
+    classes = len(set(colors))
+    while True:
+        keys = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colors = [rank[k] for k in keys]
+        if len(rank) == classes:
+            return colors
+        classes = len(rank)
+
+
+def prefix_scan_search_orders(rows, n, twins):
+    """The one-pass search as it was before cell-wise scoring, kept verbatim."""
+    colors = roundwise_stable_colors(rows, n)
+    if len(set(colors)) == n:  # every vertex told apart: one order, no search
+        return [sorted(range(n), key=colors.__getitem__, reverse=True)]
+    by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+    prefixes: list[list[int]] = [[]]
+    for color in sorted(colors, reverse=True):
+        best = -1
+        grown: list[list[int]] = []
+        for placed in prefixes:
+            scored = []
+            for v in by_color[color]:
+                if v not in placed:
+                    bits = 0
+                    rv = rows[v]
+                    for u in placed:
+                        bits = bits << 1 | (rv >> u & 1)
+                    scored.append((bits, v))
+            top = max(scored)[0]
+            if top > best:
+                best, grown = top, []
+            if top == best:
+                kept: list[int] = []
+                for bits, v in scored:
+                    if bits == top:
+                        rv = rows[v]
+                        for u in kept:
+                            if not (rows[u] ^ rv) & ~(1 << u | 1 << v):
+                                twins.append((u, v))
+                                break
+                        else:
+                            kept.append(v)
+                            grown.append(placed + [v])
+        prefixes = grown
+    return prefixes
+
+
+def random_rows(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return tuple(rows)
+
+
 def to_nx(g: Graph) -> nx.Graph:
     h = nx.empty_graph(g.n)
     h.add_edges_from(g.edges())
@@ -192,6 +265,43 @@ class TestAgainstReferenceSearch:
         h = nx.convert_node_labels_to_integers(h)
         g = from_edge_list(h.number_of_nodes(), list(h.edges()))
         self.assert_same_rows(g, 5, random.Random(g.n))
+
+
+class TestAgainstRoundwiseRefinement:
+    """Cell-wise refinement and scoring by placed neighbours change nothing the search returns."""
+
+    @staticmethod
+    def assert_same_search(rows, n):
+        twins, oracle_twins = [], []
+        orders = _search_orders(rows, n, twins)
+        oracle = prefix_scan_search_orders(rows, n, oracle_twins)
+        assert _stable_colors(rows, n) == roundwise_stable_colors(rows, n), rows
+        assert orders == oracle, rows
+        assert set(twins) == set(oracle_twins), rows
+        assert canonical_rows(rows, n) == relabel_rows(rows, oracle[0]), rows
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            range_specs("trees", 12),
+            range_specs("unicyclic", 10),
+            range_specs("all", 7),
+            [EnumerationSpec(n=7, m=11, connected_only=True)],
+        ],
+        ids=["trees-12", "unicyclic-10", "all-7", "slice-7-11"],
+    )
+    def test_every_growth_input(self, monkeypatch, specs):
+        inputs = record_canonicalisations(monkeypatch)
+        enumerate_range(specs)
+        for rows, n in inputs:
+            self.assert_same_search(rows, n)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_random_graphs(self, p):
+        rng = random.Random(int(p * 10))
+        for n in range(1, 13):
+            for _ in range(20):
+                self.assert_same_search(random_rows(rng, n, p), n)
 
 
 def moved_rows(rows, perm):
