@@ -245,13 +245,18 @@ class TestBoundReport:
             assert rec.holds and rec.is_equality and rec.lhs == rec.rhs == 0
 
     def test_zagreb_split_cap_equality_cases(self):
+        recs = self._by_id(complete_split(7, 2))
+        rec = recs["zagreb_le_split_bound"]
+        assert rec.is_equality and rec.lhs == 92
+        rec = self._by_id(path(4))["zagreb_le_split_bound"]
+        assert rec.holds and not rec.is_equality
+
+    def test_dominating_cap_exact_on_split(self):
         # the dominating-vertex Var bound is zagreb_le_split_bound at Dmax = n-1
         rec = self._by_id(complete_split(7, 2))["zagreb_le_split_bound"]
-        assert rec.is_equality and rec.lhs == 92
-        assert rec.predicted_equality and rec.agreement == CONFIRMED
-        for g in (path(4), wheel(6)):
-            rec = self._by_id(g)["zagreb_le_split_bound"]
-            assert rec.holds and not rec.is_equality and not rec.predicted_equality
+        assert rec.is_equality and rec.predicted_equality and rec.agreement == CONFIRMED
+        rec = self._by_id(wheel(6))["zagreb_le_split_bound"]
+        assert rec.holds and not rec.is_equality and not rec.predicted_equality
 
     def test_not_applicable_on_disconnected(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
