@@ -16,9 +16,12 @@ candidate is scored from its placed neighbours alone.  This is exact for any
 graph; the size cap only bounds the number of tied prefixes.
 
 The same search yields automorphisms for free (:func:`_canonical_automorphisms`):
-two kept orders give the same relabelled rows, and each pair of twins set
-aside can be swapped.  Every best order is a kept one with some of those twin
-swaps applied, so together they generate the whole automorphism group.
+two kept orders give the same relabelled rows, and a twin set aside can be
+swapped with the twin it was set aside against.  Every best order is a kept
+one with some twin swaps applied, so together they generate the whole
+automorphism group.  One swap per twin set aside is enough: the search first
+sets the other k - 1 members of a class of k twins aside against its first
+member, and that star of swaps generates every permutation of the class.
 """
 
 from __future__ import annotations
@@ -94,12 +97,6 @@ def _stable_cells(rows: Rows, n: int, nbrs: list[tuple[int, ...]]) -> list[list[
         cells, changed = split, changing
 
 
-def _stable_colors(rows: Rows, n: int) -> list[int]:
-    """Each vertex's stable colour: the index of its cell in :func:`_stable_cells`."""
-    cells = _stable_cells(rows, n, [_MEMBERS.get(mask) or _members(mask) for mask in rows])
-    return [c for _, c in sorted((v, c) for c, cell in enumerate(cells) for v in cell)]
-
-
 def _search_orders(rows: Rows, n: int, twins: list[tuple[int, int]]) -> list[list[int]]:
     """The colour-respecting vertex orders with the largest code, in one pass.
 
@@ -123,7 +120,8 @@ def _search_orders(rows: Rows, n: int, twins: list[tuple[int, int]]) -> list[lis
     weight.  A candidate's entry, shifted left by n-i bits, is then the sum
     of its placed neighbours' weights, and candidates of one position compare
     alike either way.  A singleton cell under a single prefix is placed
-    without a score, and a prefix with one child grows in place.
+    without a score, so a partition into singletons yields its one order
+    with no scoring at all, and a prefix with one child grows in place.
 
     Twin rule: two tied candidates of one prefix whose neighbourhoods differ
     at most in each other are twins; swapping them is an automorphism fixing
@@ -131,8 +129,6 @@ def _search_orders(rows: Rows, n: int, twins: list[tuple[int, int]]) -> list[lis
     """
     nbrs = [_MEMBERS.get(mask) or _members(mask) for mask in rows]
     cells = _stable_cells(rows, n, nbrs)
-    if len(cells) == n:  # every vertex told apart: one order, no search
-        return [[cell[0] for cell in reversed(cells)]]
     prefixes = [[0] * n]
     weight = 1 << n
     for cell in reversed(cells):
@@ -198,14 +194,23 @@ def _canonical_automorphisms(rows: Rows, n: int) -> tuple[Rows, list[list[int]]]
 
     Each generator is a permutation of the canonical positions.  Two kept
     orders o and o' relabel to the same rows, so position i goes to the
-    position of o[i] in o'; a twin pair (u, v) swaps the positions of u and v.
+    position of o[i] in o'.  Each vertex v the search set aside adds one
+    transposition: the swap of the positions of v and of the twin u it was
+    first set aside against.  These span the swap of every twin pair the
+    search met.  Being twins is an equivalence (no vertex has both an
+    adjacent and a non-adjacent twin), and twins share a stable cell and tie
+    on every prefix that places none of them.  So the members of a class of
+    k twins first tie for the best score all together, on prefixes that
+    place none of them; there the class's first member in cell order is kept
+    and the other k - 1 are set aside against it.  That star of k - 1 swaps
+    generates every permutation of the class.
     Unlike :func:`canonical_rows` it does not check the size cap.
     """
     twins: list[tuple[int, int]] = []
     first, *others = _search_orders(rows, n, twins)
     gens = [[at[v] for v in first] for at in map(_positions, others)]
     pos = _positions(first)
-    for u, v in set(twins):
+    for v, u in {v: u for u, v in reversed(twins)}.items():
         swap = list(range(n))
         swap[pos[u]], swap[pos[v]] = pos[v], pos[u]
         gens.append(swap)

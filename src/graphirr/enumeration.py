@@ -21,14 +21,22 @@ below ``n`` also keep only the edge counts that can still reach m that way.
 
 A parent P also tries only one mask of each orbit of its automorphisms,
 which the canonical search reports with P's canonical form
-(:func:`~graphirr.canon._canonical_automorphisms`).  This loses no class: for
+(:func:`~graphirr.canon._canonical_automorphisms`).  Every parent takes its
+generators from that one search, the cycle seeds included, so the k leaf
+attachments of C_k are one orbit; only the last size, where no graph is a
+parent, computes no generators.  This loses no class: for
 an automorphism s of P, P + s(M) is isomorphic to P + M by a map that fixes
 the new vertex; the minimum-degree masks, the edge window, the 2-walk test
 and the spec's filters depend on degrees, edge counts and isomorphism class
 only, so they keep or drop M and s(M) alike.  Any group
 of automorphisms is thus sound, and how much of the group the generators
 span affects only speed.  Duplicates that remain are removed by canonical
-code.
+code.  A parent without generators walks its masks like any other: a
+shortcut for it, and one for a search whose refined partition is already
+discrete, saved no measurable time on any benchmark growth and are not
+kept.  The search's placement of a singleton cell without scoring it does
+pay: without it the whole n = 8 growth took 10-16% longer (in one process,
+on a 2-vCPU VM).
 
 Specs that differ only in ``n`` form a family, served by one growth up to its
 largest ``n``: a smaller size keeps every representative and filters it by its
@@ -185,9 +193,6 @@ def _orbit_representatives(masks: Iterable[int], gens: list[list[int]]) -> Itera
     The group must map ``masks`` onto themselves; each orbit is walked once,
     from its first mask, through the images under the generators.
     """
-    if not gens:
-        yield from masks
-        return
     images = [[1 << p for p in gen] for gen in gens]
     seen: set[int] = set()
     for mask in masks:
@@ -209,25 +214,35 @@ def _orbit_representatives(masks: Iterable[int], gens: list[list[int]]) -> Itera
                     todo.append(moved)
 
 
+def _canonical(rows: Sequence[int], size: int, last: bool) -> tuple[Rows, list[list[int]]]:
+    """The canonical form of ``rows`` and generators of its automorphism group.
+
+    On the last size, where no graph is a parent, the list is empty and the
+    form comes from :func:`~graphirr.canon.canonical_rows`.
+    """
+    if last:
+        return canonical_rows(tuple(rows), size), []
+    return _canonical_automorphisms(tuple(rows), size)
+
+
 def _children(
     parents: dict[Rows, list[list[int]]], size: int, spec: EnumerationSpec, last: bool
-) -> dict[Rows, list[list[int]]]:
-    """Canonical children on ``size`` vertices of the representatives ``parents``.
+) -> Iterator[tuple[Rows, list[list[int]]]]:
+    """The canonical children on ``size`` vertices of the representatives ``parents``.
 
     ``parents`` maps each representative to generators of its automorphism
-    group, and so does the result, but on the last size, where no child is a
-    parent, every list is empty.  A child is built only when its new vertex
-    has minimum degree and its edge count lies in :func:`_edge_window`, and
-    only for one mask of each orbit of its parent's automorphisms, and
-    canonicalised only if it passes :func:`_most_walks`; on the last size
-    only the children that ``spec`` keeps are canonicalised.
+    group, and each child comes with its own, by :func:`_canonical`.  A child
+    is built only when its new vertex has minimum degree and its edge count
+    lies in :func:`_edge_window`, and only for one mask of each orbit of its
+    parent's automorphisms, and canonicalised only if it passes
+    :func:`_most_walks`; on the last size only the children that ``spec``
+    keeps are canonicalised.  A class reached twice is yielded twice.
     """
     bit = 1 << (size - 1)
     by_count: list[list[int]] = [[] for _ in range(size)]
     for mask in range(bit):
         by_count[mask.bit_count()].append(mask)
     window = _edge_window(spec, size)
-    classes: dict[Rows, list[list[int]]] = {}
     for parent, gens in parents.items():
         for mask in _orbit_representatives(_min_degree_masks(parent, by_count, *window), gens):
             rows = [*parent, mask]
@@ -238,24 +253,24 @@ def _children(
                 rest ^= low
             if (last and not _keep(spec, rows)) or not _most_walks(rows):
                 continue
-            if last:
-                classes[canonical_rows(tuple(rows), size)] = []
-            else:
-                child, child_gens = _canonical_automorphisms(tuple(rows), size)
-                classes[child] = child_gens
-    return classes
+            yield _canonical(rows, size, last)
 
 
 def _grow(spec: EnumerationSpec, sizes: set[int]) -> dict[int, list[str]]:
-    """Sorted codes of ``spec`` with ``n`` set to each of ``sizes <= spec.n``, one growth."""
+    """Sorted codes of ``spec`` with ``n`` set to each of ``sizes <= spec.n``, one growth.
+
+    A unicyclic growth adds C_size at each size as one more representative,
+    with its generators from :func:`_canonical` like any child.
+    """
     unicyclic = spec.population == "unicyclic"
     classes: dict[Rows, list[list[int]]] = {} if unicyclic else {(0,): []}
     out: dict[int, list[str]] = {}
     for size in range(3 if unicyclic else 1, spec.n + 1):
         if size > 1:
-            classes = _children(classes, size, spec, size == spec.n)
+            classes = dict(_children(classes, size, spec, size == spec.n))
         if unicyclic and (size < spec.n or _keep(spec, _cycle(size))):
-            classes[canonical_rows(tuple(_cycle(size)), size)] = []
+            cycle, gens = _canonical(_cycle(size), size, size == spec.n)
+            classes[cycle] = gens
         if size in sizes:
             out[size] = sorted(
                 to_graph6(Graph(size, rows)) for rows in classes if _keep(spec, rows)

@@ -246,9 +246,11 @@ def _check_degree_counts(out: _Outcome, ctx: GraphContext) -> None:
 def _check_trees(out: _Outcome, ctx: GraphContext) -> None:
     """The tree closed forms and brackets, each compared as numerators over one q.
 
-    With (M1, nS, V) the profile's sums, S = nS/n, Var = V/n^2, IRR = n*gap/2
-    and IRD = 2*Nmax*Nmin*gap/(Nmax + Nmin); each form of :func:`_tree_sides`
-    is over the same denominator as the measure it is checked against.
+    With (M1, nS, V) the profile's sums, S = nS/n, Var = V/n^2 and
+    IRR = n*gap/2; IRD is read as the numerator and denominator of
+    ``ctx.ms.ird``.  Each form of :func:`_tree_sides` is over the same
+    denominator as the measure it is checked against, and the IRD brackets
+    are compared cross-multiplied.
     """
     _, ns, v = ctx.sums
     n, gap = ctx.n, ctx.gap
@@ -276,7 +278,7 @@ def _check_trees(out: _Outcome, ctx: GraphContext) -> None:
 
     # IRD bracketed by the branch-weight bounds, tight iff no middle degrees
     no_mid = all(d in (1, 2, ctx.stats.max_degree) for d in ctx.stats.degree_set)
-    ird, ird_den = 2 * ctx.n_max * ctx.n_min * gap, ctx.n_max + ctx.n_min
+    ird, ird_den = ctx.ms.ird.numerator, ctx.ms.ird.denominator
     low, high = ird * upper_den, ird_upper * ird_den
     out.expect_iff("tree_ird_upper", low <= high, low, high, no_mid, q=ird_den * upper_den)
     low, high = ird * lower_den, ird_lower * ird_den

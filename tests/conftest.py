@@ -41,21 +41,27 @@ def permutations_of(draw, n: int) -> list[int]:
     return draw(st.permutations(list(range(n))))
 
 
-def record_canonicalisations(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+def record_canonicalisations(
+    monkeypatch, generators: list | None = None
+) -> list[tuple[tuple[int, ...], int]]:
     """A list that collects the (rows, n) of every canonical form the growth computes.
 
     Those are the calls through ``enumeration.canonical_rows`` and, on the
     sizes below the last, through ``enumeration._canonical_automorphisms``,
     in every population: trees and unicyclic graphs grow by the same rule as
-    the whole range.
+    the whole range.  With a list ``generators``, each call of the second
+    kind also appends the generators it returned there.
     """
     seen = []
     for name in ("canonical_rows", "_canonical_automorphisms"):
         real = getattr(enumeration, name)
 
-        def recording(rows, n, real=real):
+        def recording(rows, n, real=real, name=name):
             seen.append((rows, n))
-            return real(rows, n)
+            out = real(rows, n)
+            if generators is not None and name == "_canonical_automorphisms":
+                generators.extend(out[1])
+            return out
 
         monkeypatch.setattr(enumeration, name, recording)
     return seen

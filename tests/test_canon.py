@@ -7,16 +7,25 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from graphirr import enumeration
 from graphirr.canon import (
     CANONICAL_CAP,
     _canonical_automorphisms,
+    _positions,
     _search_orders,
-    _stable_colors,
+    _stable_cells,
     canonical_code,
     canonical_rows,
     relabel_rows,
 )
-from graphirr.enumeration import EnumerationSpec, enumerate_range, range_specs
+from graphirr.enumeration import (
+    EnumerationSpec,
+    _cycle,
+    _min_degree_masks,
+    _orbit_representatives,
+    enumerate_range,
+    range_specs,
+)
 from graphirr.errors import CapabilityError
 from graphirr.families import (
     complete,
@@ -112,8 +121,15 @@ def reference_search_order(rows, n, colors):
     return best_order
 
 
+def stable_colors(rows, n):
+    """Each vertex's stable colour: the index of its cell in ``_stable_cells``."""
+    nbrs = [tuple(u for u in range(n) if rows[v] >> u & 1) for v in range(n)]
+    cells = _stable_cells(rows, n, nbrs)
+    return [c for _, c in sorted((v, c) for c, cell in enumerate(cells) for v in cell)]
+
+
 def reference_rows(rows, n):
-    return relabel_rows(rows, reference_search_order(rows, n, _stable_colors(rows, n)))
+    return relabel_rows(rows, reference_search_order(rows, n, stable_colors(rows, n)))
 
 
 def roundwise_stable_colors(rows, n):
@@ -275,7 +291,7 @@ class TestAgainstRoundwiseRefinement:
         twins, oracle_twins = [], []
         orders = _search_orders(rows, n, twins)
         oracle = prefix_scan_search_orders(rows, n, oracle_twins)
-        assert _stable_colors(rows, n) == roundwise_stable_colors(rows, n), rows
+        assert stable_colors(rows, n) == roundwise_stable_colors(rows, n), rows
         assert orders == oracle, rows
         assert set(twins) == set(oracle_twins), rows
         assert canonical_rows(rows, n) == relabel_rows(rows, oracle[0]), rows
@@ -302,6 +318,19 @@ class TestAgainstRoundwiseRefinement:
         for n in range(1, 13):
             for _ in range(20):
                 self.assert_same_search(random_rows(rng, n, p), n)
+
+
+def all_pairs_automorphisms(rows, n):
+    """The generators as the search first reported them: a swap for every distinct twin pair met."""
+    twins = []
+    first, *others = _search_orders(rows, n, twins)
+    gens = [[at[v] for v in first] for at in map(_positions, others)]
+    pos = _positions(first)
+    for u, v in set(twins):
+        swap = list(range(n))
+        swap[pos[u]], swap[pos[v]] = pos[v], pos[u]
+        gens.append(swap)
+    return relabel_rows(rows, first), gens
 
 
 def moved_rows(rows, perm):
@@ -345,6 +374,61 @@ class TestAutomorphisms:
             for perm in gens:
                 assert sorted(perm) == list(range(len(rows)))
                 assert moved_rows(rows, perm) == rows, (code, perm)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            range_specs("trees", 12),
+            range_specs("unicyclic", 10),
+            range_specs("all", 7),
+            [EnumerationSpec(n=7, m=11, connected_only=True)],
+        ],
+        ids=["trees-12", "unicyclic-10", "all-7", "slice-7-11"],
+    )
+    def test_same_mask_orbits_as_all_twin_pairs(self, monkeypatch, specs):
+        """One swap per twin set aside gives each parent the orbits that every twin pair gives."""
+        inputs = record_canonicalisations(monkeypatch)
+        enumerate_range(specs)
+        by_count = {}
+        for rows, n in inputs:
+            parent, gens = _canonical_automorphisms(rows, n)
+            reference_parent, reference = all_pairs_automorphisms(rows, n)
+            assert parent == reference_parent
+            if n not in by_count:
+                every = range(1 << n)
+                by_count[n] = [[m for m in every if m.bit_count() == c] for c in range(n + 1)]
+            masks = list(_min_degree_masks(parent, by_count[n], 0, n * (n + 1) // 2))
+            assert list(_orbit_representatives(masks, gens)) == list(
+                _orbit_representatives(masks, reference)
+            ), rows
+
+    @pytest.mark.parametrize(
+        "g, swaps, pairs", [(star(12), 10, 55), (complete(8), 7, 28)], ids=["star12", "K8"]
+    )
+    def test_a_twin_class_of_k_spans_with_k_minus_1_swaps(self, g, swaps, pairs):
+        _, gens = _canonical_automorphisms(g.rows, g.n)
+        _, reference = all_pairs_automorphisms(g.rows, g.n)
+        assert (len(gens), len(reference)) == (swaps, pairs)
+        assert all(sum(p != i for i, p in enumerate(perm)) == 2 for perm in gens)
+        assert orbits(g.n, gens) == orbits(g.n, reference)
+
+    def test_cycle_seeds_carry_generators(self, monkeypatch):
+        """Every C_k below the last size goes through the search that reports generators."""
+        seeds = []
+        real = enumeration._canonical_automorphisms
+
+        def recording(rows, n):
+            out = real(rows, n)
+            if rows == tuple(_cycle(n)):
+                seeds.append(out)
+            return out
+
+        monkeypatch.setattr(enumeration, "_canonical_automorphisms", recording)
+        enumerate_range(range_specs("unicyclic", 10))
+        assert [len(rows) for rows, _ in seeds] == list(range(3, 10))
+        for rows, gens in seeds:
+            assert orbits(len(rows), gens) == [list(range(len(rows)))]
+            assert all(moved_rows(rows, perm) == rows for perm in gens)
 
     def test_orbits_equal_brute_force(self):
         rng = random.Random(6)

@@ -205,7 +205,7 @@ class TestRange:
         "population, max_n, connected, calls",
         [
             ("trees", 12, False, 1296),
-            ("unicyclic", 10, False, 1309),
+            ("unicyclic", 10, False, 1274),
             ("all", 6, True, 166),
             ("all", 7, False, 1306),
         ],
@@ -219,10 +219,28 @@ class TestRange:
         oracle = {"trees": TREES_BY_N, "unicyclic": UNICYCLIC_BY_N, "all": whole}
         assert [len(codes) for codes in lists] == [oracle[population][s.n] for s in specs]
 
+    @pytest.mark.parametrize(
+        "population, max_n, connected, total",
+        [
+            ("trees", 12, False, 1511),
+            ("unicyclic", 10, False, 782),
+            ("all", 6, True, 111),
+            ("all", 8, False, 2521),
+        ],
+    )
+    def test_generator_totals(self, monkeypatch, population, max_n, connected, total):
+        """The generators the parents below the last size carry, one per twin set aside."""
+        generators: list[list[int]] = []
+        record_canonicalisations(monkeypatch, generators)
+        enumerate_range(range_specs(population, max_n, connected_only=connected))
+        assert len(generators) == total
+
     def test_fixed_m_grows_only_its_edge_window(self, monkeypatch):
-        counted = record_canonicalisations(monkeypatch)
+        generators: list[list[int]] = []
+        counted = record_canonicalisations(monkeypatch, generators)
         codes = enumerate_range([EnumerationSpec(n=7, m=11, connected_only=True)])[0]
         assert len(counted) == 239
+        assert len(generators) == 202
         assert len(codes) == 138
 
     @pytest.mark.parametrize(
